@@ -14,8 +14,6 @@ from .potentials import (
     StationaryPointSet,
     TopologyChangeError,
     equal_height_parameter,
-    eval_gradient,
-    eval_potential,
     find_stationary_points,
 )
 from .de import DeTrajectory, bp_threshold, de_step, run_de

@@ -38,8 +38,11 @@ def _write_csv(path: Path, header: str, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok != ""]
+def _floats(value) -> list[float]:
+    """A comma-list flag or config value: "a,b", a JSON list, or one number."""
+    if isinstance(value, list):
+        return [float(v) for v in value]
+    return [float(tok) for tok in str(value).split(",") if tok != ""]
 
 
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
@@ -55,15 +58,26 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     return params
 
 
-def _make_spec(p: dict) -> potentials.Potential:
-    family = p.get("family", "dw")
+# Defaults of the subcommands that relax one potential on one grid.
+_SPEC_DEFAULTS = {"family": "dw", "h": 0.0, "d": 0.01, "xmax": 1.0, "n": 201, "t_cap": 2e4}
+
+
+def _family(p: dict):
+    """The chosen family as a function of its one free parameter, and that
+    parameter's key: h for dw, eps for ldpc (whose degrees come from p)."""
+    family = p["family"]
     if family == "dw":
-        return potentials.DoubleWell(float(p.get("h", 0.0)))
+        return potentials.DoubleWell, "h"
     if family == "ldpc":
-        return potentials.LdpcBec(
-            epsilon=float(p["eps"]), dv=int(p["dv"]), dc=int(p["dc"])
-        )
+        def make(eps):
+            return potentials.LdpcBec(epsilon=eps, dv=int(p["dv"]), dc=int(p["dc"]))
+        return make, "eps"
     raise ValueError(f"unknown family {family!r} (expected 'dw' or 'ldpc')")
+
+
+def _make_spec(p: dict) -> potentials.Potential:
+    make, key = _family(p)
+    return make(float(p[key]))
 
 
 def _resolve_y0(token, pts: potentials.StationaryPointSet) -> float:
@@ -106,16 +120,7 @@ def cmd_de(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     p = _merge(
         args,
-        {
-            "family": "dw",
-            "d": 0.01,
-            "xmax": 1.0,
-            "n": 201,
-            "y0": "minus",
-            "t_end": 2e4,
-            "steady_tol": 1e-9,
-            "snapshots": 100,
-        },
+        {**_SPEC_DEFAULTS, "y0": "minus", "t_end": 2e4, "steady_tol": 1e-9, "snapshots": 100},
     )
     if float(p["d"]) <= 0:
         raise ValueError(f"coupling constant must be positive, got {p['d']}")
@@ -147,10 +152,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_stationary(args: argparse.Namespace) -> int:
-    p = _merge(
-        args,
-        {"family": "dw", "d": 0.01, "xmax": 1.0, "n": 201, "t_cap": 2e4},
-    )
+    p = _merge(args, _SPEC_DEFAULTS)
     spec = _make_spec(p)
     grid = pde.Grid(float(p["xmax"]), int(p["n"]))
     pts = potentials.find_stationary_points(spec)
@@ -169,10 +171,7 @@ def cmd_stationary(args: argparse.Namespace) -> int:
 
 
 def cmd_theorem1(args: argparse.Namespace) -> int:
-    p = _merge(
-        args,
-        {"family": "dw", "d": "0.001,0.01,0.1", "xmax": 1.0, "n": 201, "t_cap": 2e4},
-    )
+    p = _merge(args, {**_SPEC_DEFAULTS, "d": "0.001,0.01,0.1"})
     spec = _make_spec(p)
     grid = pde.Grid(float(p["xmax"]), int(p["n"]))
     d_list = _floats(p["d"])
@@ -243,22 +242,60 @@ def cmd_bifurcation(args: argparse.Namespace) -> int:
 
 def cmd_threshold_sc(args: argparse.Namespace) -> int:
     p = _merge(args, {"family": "dw", "tol": 1e-10})
-    bracket = p["bracket"]
-    if isinstance(bracket, str):
-        bracket = _floats(bracket)
-    family = p["family"]
-    if family == "dw":
-        make = potentials.DoubleWell
-    elif family == "ldpc":
-        dv, dc = int(p["dv"]), int(p["dc"])
-        make = lambda eps: potentials.LdpcBec(epsilon=eps, dv=dv, dc=dc)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    value = potentials.equal_height_parameter(make, bracket, tol=float(p["tol"]))
+    make, _ = _family(p)
+    value = potentials.equal_height_parameter(make, _floats(p["bracket"]), tol=float(p["tol"]))
     print(f"threshold_sc {_fmt(value)}")
     if p.get("out"):
-        _write_csv(Path(p["out"]) / "threshold_sc.csv", "family,value", [(family, value)])
+        _write_csv(Path(p["out"]) / "threshold_sc.csv", "family,value", [(p["family"], value)])
     return 0
+
+
+# Every cdl flag once: its name (the option is "--" + name with "-" for "_")
+# and its add_argument keywords.  Flags default to SUPPRESS so that a flag
+# left out does not mask its config value.
+_FLAGS = {
+    "family": {"choices": ["dw", "ldpc"]},
+    "h": {"type": float},
+    "eps": {"type": float},
+    "dv": {"type": int},
+    "dc": {"type": int},
+    "d": {"type": float},
+    "xmax": {"type": float},
+    "n": {"type": int},
+    "y0": {"help": "minus | plus | numeric value"},
+    "t_end": {"type": float},
+    "t_cap": {"type": float},
+    "steady_tol": {"type": float},
+    "snapshots": {"type": int, "help": "snapshot cadence in steps"},
+    "tol": {"type": float},
+    "max_iter": {"type": int},
+    "threshold": {"action": "store_true"},
+    "curve": {"action": "store_true"},
+    "h_bracket": {"help": "comma pair"},
+    "jobs": {"type": int},
+    "bracket": {"nargs": 2, "type": float, "required": True},
+}
+_COMMA_LIST = {"type": None, "help": "comma list"}
+_SPEC_FLAGS = "family h eps dv dc"
+
+# Subcommand: handler, help, its flags in help order, per-subcommand overrides.
+_COMMANDS = {
+    "de": (cmd_de, "density-evolution recursion / BP threshold",
+           "dv dc eps threshold tol y0 max_iter",
+           {"dv": {"required": True}, "dc": {"required": True},
+            "y0": {"type": float, "help": None}}),
+    "simulate": (cmd_simulate, "time integration of the coupled system",
+                 f"{_SPEC_FLAGS} d xmax n y0 t_end steady_tol snapshots", {}),
+    "stationary": (cmd_stationary, "relax to a stationary solution and classify",
+                   f"{_SPEC_FLAGS} d xmax n y0 t_cap", {}),
+    "theorem1": (cmd_theorem1, "no-pot-shape verification sweep",
+                 f"{_SPEC_FLAGS} d y0 xmax n t_cap", {"d": _COMMA_LIST, "y0": _COMMA_LIST}),
+    "bifurcation": (cmd_bifurcation, "(d, h) sweep and critical curve",
+                    "d h curve h_bracket tol xmax n t_cap jobs",
+                    {"d": _COMMA_LIST, "h": _COMMA_LIST}),
+    "threshold-sc": (cmd_threshold_sc, "equal-height (Maxwell) threshold",
+                     "family dv dc bracket tol", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -267,88 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spatially-coupled gradient-flow simulator and threshold analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for name, (func, help_text, flags, overrides) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None, help="flat JSON config file")
         sp.add_argument("--out", default=_S, help="output directory for CSV files")
-
-    sp = sub.add_parser("de", help="density-evolution recursion / BP threshold")
-    add_common(sp)
-    sp.add_argument("--dv", type=int, required=True, default=_S)
-    sp.add_argument("--dc", type=int, required=True, default=_S)
-    sp.add_argument("--eps", type=float, default=_S)
-    sp.add_argument("--threshold", action="store_true", default=_S)
-    sp.add_argument("--tol", type=float, default=_S)
-    sp.add_argument("--y0", type=float, default=_S)
-    sp.add_argument("--max-iter", dest="max_iter", type=int, default=_S)
-    sp.set_defaults(func=cmd_de)
-
-    sp = sub.add_parser("simulate", help="time integration of the coupled system")
-    add_common(sp)
-    sp.add_argument("--family", choices=["dw", "ldpc"], default=_S)
-    sp.add_argument("--h", type=float, default=_S)
-    sp.add_argument("--eps", type=float, default=_S)
-    sp.add_argument("--dv", type=int, default=_S)
-    sp.add_argument("--dc", type=int, default=_S)
-    sp.add_argument("--d", type=float, default=_S)
-    sp.add_argument("--xmax", type=float, default=_S)
-    sp.add_argument("--n", type=int, default=_S)
-    sp.add_argument("--y0", default=_S, help="minus | plus | numeric value")
-    sp.add_argument("--t-end", dest="t_end", type=float, default=_S)
-    sp.add_argument("--steady-tol", dest="steady_tol", type=float, default=_S)
-    sp.add_argument("--snapshots", type=int, default=_S, help="snapshot cadence in steps")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("stationary", help="relax to a stationary solution and classify")
-    add_common(sp)
-    sp.add_argument("--family", choices=["dw", "ldpc"], default=_S)
-    sp.add_argument("--h", type=float, default=_S)
-    sp.add_argument("--eps", type=float, default=_S)
-    sp.add_argument("--dv", type=int, default=_S)
-    sp.add_argument("--dc", type=int, default=_S)
-    sp.add_argument("--d", type=float, default=_S)
-    sp.add_argument("--xmax", type=float, default=_S)
-    sp.add_argument("--n", type=int, default=_S)
-    sp.add_argument("--y0", default=_S)
-    sp.add_argument("--t-cap", dest="t_cap", type=float, default=_S)
-    sp.set_defaults(func=cmd_stationary)
-
-    sp = sub.add_parser("theorem1", help="no-pot-shape verification sweep")
-    add_common(sp)
-    sp.add_argument("--family", choices=["dw", "ldpc"], default=_S)
-    sp.add_argument("--h", type=float, default=_S)
-    sp.add_argument("--eps", type=float, default=_S)
-    sp.add_argument("--dv", type=int, default=_S)
-    sp.add_argument("--dc", type=int, default=_S)
-    sp.add_argument("--d", default=_S, help="comma list of coupling constants")
-    sp.add_argument("--y0", default=_S, help="comma list of initial values")
-    sp.add_argument("--xmax", type=float, default=_S)
-    sp.add_argument("--n", type=int, default=_S)
-    sp.add_argument("--t-cap", dest="t_cap", type=float, default=_S)
-    sp.set_defaults(func=cmd_theorem1)
-
-    sp = sub.add_parser("bifurcation", help="(d, h) sweep and critical curve")
-    add_common(sp)
-    sp.add_argument("--d", default=_S, help="comma list of coupling constants")
-    sp.add_argument("--h", default=_S, help="comma list of tilts")
-    sp.add_argument("--curve", action="store_true", default=_S)
-    sp.add_argument("--h-bracket", dest="h_bracket", default=_S, help="comma pair")
-    sp.add_argument("--tol", type=float, default=_S)
-    sp.add_argument("--xmax", type=float, default=_S)
-    sp.add_argument("--n", type=int, default=_S)
-    sp.add_argument("--t-cap", dest="t_cap", type=float, default=_S)
-    sp.add_argument("--jobs", type=int, default=_S)
-    sp.set_defaults(func=cmd_bifurcation)
-
-    sp = sub.add_parser("threshold-sc", help="equal-height (Maxwell) threshold")
-    add_common(sp)
-    sp.add_argument("--family", choices=["dw", "ldpc"], default=_S)
-    sp.add_argument("--dv", type=int, default=_S)
-    sp.add_argument("--dc", type=int, default=_S)
-    sp.add_argument("--bracket", nargs=2, type=float, required=True, default=_S)
-    sp.add_argument("--tol", type=float, default=_S)
-    sp.set_defaults(func=cmd_threshold_sc)
-
+        for flag in flags.split():
+            kwargs = {"default": _S, **_FLAGS[flag], **overrides.get(flag, {})}
+            sp.add_argument("--" + flag.replace("_", "-"), **kwargs)
+        sp.set_defaults(func=func)
     return parser
 
 

@@ -140,23 +140,27 @@ class TrajectoryRecord:
     t_final: float
 
 
+def _interior_rhs(y: np.ndarray, dx: float, gradient, coupling: Coupling) -> np.ndarray:
+    """3-point flux-form stencil of -U'(y) - (1/2) D'(y) y_x^2 + (D(y) y_x)_x
+    on the interior nodes; `gradient` evaluates U' there."""
+    if isinstance(coupling, ConstantCoupling):
+        return -gradient(y[1:-1]) + (coupling.d * (1.0 / dx**2)) * (
+            y[2:] - 2.0 * y[1:-1] + y[:-2]
+        )
+    mid = 0.5 * (y[:-1] + y[1:])
+    flux = coupling.diffusivity(mid) * np.diff(y) / dx
+    slope = (y[2:] - y[:-2]) * (0.5 / dx)
+    return (
+        -gradient(y[1:-1])
+        - 0.5 * coupling.derivative(y[1:-1]) * slope**2
+        + np.diff(flux) / dx
+    )
+
+
 def rhs(profile: Profile, spec: Potential, coupling: Coupling) -> np.ndarray:
     """Right-hand side on the grid; zero at the pinned boundary nodes."""
-    y = profile.values
-    dx = profile.grid.dx
-    out = np.zeros_like(y)
-    g = np.asarray(spec.gradient(y[1:-1]))
-    if isinstance(coupling, ConstantCoupling):
-        out[1:-1] = -g + coupling.d * (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2
-    else:
-        mid = 0.5 * (y[:-1] + y[1:])
-        flux = coupling.diffusivity(mid) * np.diff(y) / dx
-        slope = (y[2:] - y[:-2]) / (2.0 * dx)
-        out[1:-1] = (
-            -g
-            - 0.5 * coupling.derivative(y[1:-1]) * slope**2
-            + np.diff(flux) / dx
-        )
+    out = np.zeros_like(profile.values)
+    out[1:-1] = _interior_rhs(profile.values, profile.grid.dx, spec.gradient, coupling)
     return out
 
 
@@ -187,8 +191,11 @@ def integrate(
     """Explicit-Euler evolution with Dirichlet re-imposition each step.
 
     Exits early with steady=True once max|rhs| < steady_tol.  A user-supplied
-    dt above the diffusion stability bound is rejected.
+    dt above the diffusion stability bound is rejected, and so is t_end < 0;
+    t_end = 0 takes no step.
     """
+    if t_end < 0:
+        raise ValueError(f"t_end must be >= 0, got {t_end}")
     grid = profile0.grid
     coupling.validate_positive(spec.domain)
     dt_bound = 0.5 * grid.dx**2 / coupling.max_over(spec.domain)
@@ -210,32 +217,14 @@ def integrate(
         if keep_snapshots:
             snapshots.append((t, work.copy()))
 
-    constant = isinstance(coupling, ConstantCoupling)
-    d_const = coupling.d if constant else 0.0
-    inv_dx2 = 1.0 / grid.dx**2
-    inv_2dx = 0.5 / grid.dx
-
-    def rhs_interior() -> np.ndarray:
-        if constant:
-            return -spec.gradient_unchecked(y[1:-1]) + (d_const * inv_dx2) * (
-                y[2:] - 2.0 * y[1:-1] + y[:-2]
-            )
-        mid = 0.5 * (y[:-1] + y[1:])
-        flux = coupling.diffusivity(mid) * np.diff(y) / grid.dx
-        slope = (y[2:] - y[:-2]) * inv_2dx
-        return (
-            -spec.gradient_unchecked(y[1:-1])
-            - 0.5 * coupling.derivative(y[1:-1]) * slope**2
-            + np.diff(flux) / grid.dx
-        )
-
+    dx = grid.dx
+    gradient = spec.gradient_unchecked
     t = 0.0
     steady = False
     record(0.0)
-    residual = float(np.max(np.abs(rhs_interior())))
-    n_steps = max(1, math.ceil(t_end / dt))
-    for step in range(n_steps):
-        r = rhs_interior()
+    residual = float(np.max(np.abs(_interior_rhs(y, dx, gradient, coupling))))
+    for step in range(math.ceil(t_end / dt)):
+        r = _interior_rhs(y, dx, gradient, coupling)
         residual = float(np.max(np.abs(r)))
         if not np.isfinite(residual):
             node = int(np.flatnonzero(~np.isfinite(r))[0]) + 1
@@ -250,7 +239,7 @@ def integrate(
         if (step + 1) % snapshot_every == 0:
             record(t)
     else:
-        residual = float(np.max(np.abs(rhs_interior())))
+        residual = float(np.max(np.abs(_interior_rhs(y, dx, gradient, coupling))))
         steady = residual < steady_tol
 
     record(t)

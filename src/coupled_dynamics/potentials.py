@@ -163,16 +163,6 @@ class ReflectedPotential(Potential):
         return -self.base.gradient_unchecked(-arr)
 
 
-def eval_potential(spec: Potential, y):
-    """Evaluate U(y); raises DomainError outside spec.domain."""
-    return spec.potential(y)
-
-
-def eval_gradient(spec: Potential, y):
-    """Evaluate dU/dy; raises DomainError outside spec.domain."""
-    return spec.gradient(y)
-
-
 @dataclass(frozen=True)
 class StationaryPoint:
     y: float

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from coupled_dynamics.cli import main
+from coupled_dynamics.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -136,6 +137,11 @@ class TestSimulate:
         assert code == 1
         assert "error:" in err
 
+    def test_negative_t_end_exits_1(self, capsys):
+        code, _, err = run(capsys, "simulate", "--n", "21", "--t-end", "-5")
+        assert code == 1
+        assert "t_end" in err
+
 
 class TestTheorem1:
     def test_passes(self, capsys, tmp_path):
@@ -153,6 +159,19 @@ class TestTheorem1:
         code, _, err = run(capsys, "theorem1", "--h", "-0.05", "--d", "0.01")
         assert code == 1
         assert "error:" in err
+
+    def test_config_json_lists(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"h": 0.05, "d": [0.01], "y0": [-1.0, 0.0], "n": 101}))
+        code, out, _ = run(
+            capsys, "theorem1", "--config", str(cfg), "--out", str(tmp_path)
+        )
+        assert code == 0
+        assert "passed=True" in out
+        lines = (tmp_path / "theorem1_report.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["0.01", "-1"], ["0.01", "0"]
+        ]
 
 
 class TestBifurcation:
@@ -174,3 +193,69 @@ class TestBifurcation:
         a = (tmp_path / "serial" / "bifurcation_sweep.csv").read_bytes()
         b = (tmp_path / "par" / "bifurcation_sweep.csv").read_bytes()
         assert a == b
+
+    def test_config_json_lists(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"d": [0.01], "h": [-0.01, 0.01], "n": 101, "t-cap": 5000}
+        ))
+        code, out, _ = run(capsys, "bifurcation", "--config", str(cfg))
+        assert code == 0
+        assert "2 cells, 1 pot-shaped" in out
+
+
+# Flag surface of every subcommand: option strings -> (type, nargs, required).
+STR, FLOAT, INT = (None, None, False), (float, None, False), (int, None, False)
+SWITCH = (None, 0, False)
+COMMON = {"-h --help": SWITCH, "--config": STR, "--out": STR}
+FLAG_SURFACE = {
+    "de": {
+        "--dv": (int, None, True), "--dc": (int, None, True), "--eps": FLOAT,
+        "--threshold": SWITCH, "--tol": FLOAT, "--y0": FLOAT, "--max-iter": INT,
+    },
+    "simulate": {
+        "--family": STR, "--h": FLOAT, "--eps": FLOAT, "--dv": INT, "--dc": INT,
+        "--d": FLOAT, "--xmax": FLOAT, "--n": INT, "--y0": STR, "--t-end": FLOAT,
+        "--steady-tol": FLOAT, "--snapshots": INT,
+    },
+    "stationary": {
+        "--family": STR, "--h": FLOAT, "--eps": FLOAT, "--dv": INT, "--dc": INT,
+        "--d": FLOAT, "--xmax": FLOAT, "--n": INT, "--y0": STR, "--t-cap": FLOAT,
+    },
+    "theorem1": {
+        "--family": STR, "--h": FLOAT, "--eps": FLOAT, "--dv": INT, "--dc": INT,
+        "--d": STR, "--y0": STR, "--xmax": FLOAT, "--n": INT, "--t-cap": FLOAT,
+    },
+    "bifurcation": {
+        "--d": STR, "--h": STR, "--curve": SWITCH, "--h-bracket": STR, "--tol": FLOAT,
+        "--xmax": FLOAT, "--n": INT, "--t-cap": FLOAT, "--jobs": INT,
+    },
+    "threshold-sc": {
+        "--family": STR, "--dv": INT, "--dc": INT, "--bracket": (float, 2, True),
+        "--tol": FLOAT,
+    },
+}
+
+
+class TestParser:
+    def test_flag_surface(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(FLAG_SURFACE)
+        for name, sp in sub.choices.items():
+            got = {
+                " ".join(a.option_strings): (a.type, a.nargs, a.required)
+                for a in sp._actions
+            }
+            assert got == {**COMMON, **FLAG_SURFACE[name]}, name
+            assert all(a.default is argparse.SUPPRESS for a in sp._actions
+                       if a.dest not in ("help", "config")), name
+
+    def test_flags_reach_their_keys(self):
+        parser = build_parser()
+        ns = parser.parse_args(["de", "--dv", "3", "--dc", "6", "--max-iter", "7"])
+        assert ns.max_iter == 7
+        ns = parser.parse_args(["simulate", "--steady-tol", "1e-6", "--snapshots", "5"])
+        assert (ns.steady_tol, ns.snapshots) == (1e-6, 5)
+        ns = parser.parse_args(["bifurcation", "--curve", "--h-bracket=-0.2,-0.01"])
+        assert (ns.curve, ns.h_bracket) == (True, "-0.2,-0.01")

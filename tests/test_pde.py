@@ -13,7 +13,7 @@ from coupled_dynamics.pde import (
     simulate_discrete_chain,
     stable_dt,
 )
-from coupled_dynamics.potentials import DoubleWell, find_stationary_points
+from coupled_dynamics.potentials import DomainError, DoubleWell, find_stationary_points
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,17 @@ class TestRhs:
         r_affine = rhs(prof, spec, AffineCoupling(0.02, 0.0))
         assert np.allclose(r_const, r_affine, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "coupling", [ConstantCoupling(0.02), AffineCoupling(0.02, 0.005)]
+    )
+    def test_out_of_domain_interior_raises(self, coupling):
+        # DoubleWell's domain is [-2, 2]; rhs checks it, integrate's loop does not
+        vals = np.zeros(21)
+        vals[10] = 2.5
+        prof = Profile(Grid(1.0, 21), vals, boundary_value=0.0)
+        with pytest.raises(DomainError):
+            rhs(prof, DoubleWell(0.0), coupling)
+
 
 class TestIntegrate:
     def test_starts_stationary(self):
@@ -151,6 +162,24 @@ class TestIntegrate:
         rec = fig2_pot_record
         r = rhs(rec.final, DoubleWell(-0.01), ConstantCoupling(0.01))
         assert np.max(np.abs(r)) < 1e-9
+
+    def test_zero_t_end_takes_no_step(self):
+        spec = DoubleWell(0.01)
+        pts = find_stationary_points(spec)
+        prof = Profile.uniform(Grid(1.0, 21), pts.y_minus, boundary_value=pts.y_plus)
+        coupling = ConstantCoupling(0.01)
+        rec = integrate(prof, spec, coupling, t_end=0.0)
+        assert rec.t_final == 0.0
+        assert np.array_equal(rec.final.values, prof.values)
+        assert not rec.steady
+        assert rec.residual == pytest.approx(
+            np.max(np.abs(rhs(prof, spec, coupling))), rel=1e-12
+        )
+
+    def test_negative_t_end_rejected(self):
+        prof = Profile.uniform(Grid(1.0, 21), -1.0, boundary_value=1.0)
+        with pytest.raises(ValueError, match="t_end"):
+            integrate(prof, DoubleWell(0.01), ConstantCoupling(0.01), t_end=-5.0)
 
     def test_dt_rejection(self):
         spec = DoubleWell(0.0)

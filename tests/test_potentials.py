@@ -10,8 +10,6 @@ from coupled_dynamics.potentials import (
     LdpcBec,
     ReflectedPotential,
     equal_height_parameter,
-    eval_gradient,
-    eval_potential,
     find_stationary_points,
 )
 
@@ -25,15 +23,17 @@ def simpson_potential(eps, dv, dc, y, n=4001):
 
 
 class TestEvalPotential:
+    """Potential.potential: closed forms, quadrature oracle, domain check."""
+
     def test_double_well_zero(self):
-        assert eval_potential(DoubleWell(0.3), 0.0) == 0.0
+        assert DoubleWell(0.3).potential(0.0) == 0.0
 
     def test_double_well_unit(self):
-        assert eval_potential(DoubleWell(0.0), 1.0) == pytest.approx(-0.25, abs=1e-15)
+        assert DoubleWell(0.0).potential(1.0) == pytest.approx(-0.25, abs=1e-15)
 
     def test_ldpc_matches_simpson(self):
         spec = LdpcBec(0.45, 3, 6)
-        assert eval_potential(spec, 0.5) == pytest.approx(
+        assert spec.potential(0.5) == pytest.approx(
             simpson_potential(0.45, 3, 6, 0.5), abs=1e-8
         )
 
@@ -41,31 +41,33 @@ class TestEvalPotential:
         # closed form and quadrature must agree to 1e-10
         spec = LdpcBec(0.4, 4, 8)
         for y in [0.1, 0.37, 0.92]:
-            assert eval_potential(spec, y) == pytest.approx(
+            assert spec.potential(y) == pytest.approx(
                 simpson_potential(0.4, 4, 8, y, n=40001), abs=1e-10
             )
 
     def test_domain_violation(self):
         with pytest.raises(DomainError):
-            eval_potential(LdpcBec(0.45, 3, 6), 1.5)
+            LdpcBec(0.45, 3, 6).potential(1.5)
         with pytest.raises(DomainError):
-            eval_potential(DoubleWell(0.0), 3.0)
+            DoubleWell(0.0).potential(3.0)
 
 
 class TestEvalGradient:
+    """Potential.gradient: roots, finite differences of .potential."""
+
     def test_double_well_root(self):
-        assert eval_gradient(DoubleWell(0.0), 1.0) == 0.0
+        assert DoubleWell(0.0).gradient(1.0) == 0.0
 
     def test_ldpc_at_one(self):
-        assert eval_gradient(LdpcBec(0.5, 3, 6), 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert LdpcBec(0.5, 3, 6).gradient(1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_finite_difference(self):
         spec = DoubleWell(0.01)
         delta = 1e-6
-        fd = (eval_potential(spec, 0.7 + delta) - eval_potential(spec, 0.7 - delta)) / (
+        fd = (spec.potential(0.7 + delta) - spec.potential(0.7 - delta)) / (
             2 * delta
         )
-        assert eval_gradient(spec, 0.7) == pytest.approx(fd, abs=1e-6)
+        assert spec.gradient(0.7) == pytest.approx(fd, abs=1e-6)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-1.9, 1.9), st.floats(-0.3, 0.3))
