@@ -49,11 +49,15 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     params = dict(defaults)
     given = vars(args)
     config_path = given.pop("config", None)
+    list_keys = given.pop("list_keys", frozenset())
     if config_path:
         with open(config_path) as fh:
             loaded = json.load(fh)
         for key, value in loaded.items():
-            params[key.replace("-", "_")] = value
+            key = key.replace("-", "_")
+            if isinstance(value, (list, dict)) and key not in list_keys:
+                raise ValueError(f"config key {key!r} takes one value, got {value!r}")
+            params[key] = value
     params.update(given)
     return params
 
@@ -308,10 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None, help="flat JSON config file")
         sp.add_argument("--out", default=_S, help="output directory for CSV files")
+        list_keys = set()
         for flag in flags.split():
             kwargs = {"default": _S, **_FLAGS[flag], **overrides.get(flag, {})}
             sp.add_argument("--" + flag.replace("_", "-"), **kwargs)
-        sp.set_defaults(func=func)
+            if "nargs" in kwargs or overrides.get(flag) is _COMMA_LIST:
+                list_keys.add(flag)
+        # Config keys that may hold a JSON list; `_merge` rejects one elsewhere.
+        sp.set_defaults(func=func, list_keys=frozenset(list_keys))
     return parser
 
 

@@ -1,9 +1,10 @@
 """Stationary boundary-value analysis of the pinned coupled system.
 
 Stationary profiles satisfy 0 = -U'(y) + D y'' with y(+-x_max) pinned at the
-largest stable point.  This module finds them by relaxation (long-time PDE
-integration on the second-order stencil) followed by a Newton polish on the
-fourth-order Numerov discretization
+largest stable point.  This module finds them by relaxation (IMEX Euler
+steps of the pinned gradient flow, whose fixed points are those of the
+second-order stencil) followed by a Newton polish on the fourth-order Numerov
+discretization
 
     D (y[i+1] - 2 y[i] + y[i-1]) / dx^2 = (U'[i+1] + 10 U'[i] + U'[i-1]) / 12,
 
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
-from .pde import ConstantCoupling, Grid, Profile, integrate
+from .pde import Grid, Profile, _relax
 from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_points
 
 POT_TOL = 1e-3
@@ -186,12 +187,15 @@ def solve_stationary(
 
     Constant coupling only.  The boundary value is the largest stable point
     of the potential; y0 defaults to the smallest stable point.  Relaxation
-    runs on the second-order stencil; every relaxed profile whose residual
-    there is below 1e-4 (steady runs, and runs that hit t_cap already close)
-    is then Newton-polished on the fourth-order (Numerov) discretization
-    until its residual is below steady_tol.  `residual` reports the Numerov
-    residual of the returned profile, and `steady` is True only when the
-    polish converged; otherwise the classification is Other.
+    takes IMEX Euler steps (diffusion implicit, reaction explicit) toward the
+    fixed point of the second-order stencil, until that stencil's residual
+    is below steady_tol or the model time t_cap is reached; `t_exit` is the
+    model time it ran.  Every relaxed profile whose residual there is below
+    1e-4 (steady runs, and runs that hit t_cap already close) is then
+    Newton-polished on the fourth-order (Numerov) discretization until its
+    residual is below steady_tol.  `residual` reports the Numerov residual of
+    the returned profile, and `steady` is True only when the polish
+    converged; otherwise the classification is Other.
     """
     if d <= 0:
         raise ValueError(f"coupling constant must be positive, got {d}")
@@ -202,17 +206,8 @@ def solve_stationary(
     if y0 is None:
         y0 = pts.y_minus
     profile0 = Profile.uniform(grid, y0, boundary_value=y_plus)
-    record = integrate(
-        profile0,
-        spec,
-        ConstantCoupling(d),
-        t_end=t_cap,
-        steady_tol=steady_tol,
-        snapshot_every=10_000,
-        keep_snapshots=False,
-    )
-    final = record.final
-    steady = record.residual < 1e-4 and _newton_polish(final, spec, d, steady_tol)
+    final, relax_residual, t_exit = _relax(profile0, spec, d, t_cap, steady_tol)
+    steady = relax_residual < 1e-4 and _newton_polish(final, spec, d, steady_tol)
     if steady:
         classification = classify_profile(final, y_plus, pot_tol, slope_tol)
     else:
@@ -223,7 +218,7 @@ def solve_stationary(
         first_integral_constant=_boundary_first_integral(final, spec, d),
         residual=_stationary_residual(final, spec, d),
         steady=steady,
-        t_exit=record.t_final,
+        t_exit=t_exit,
     )
 
 

@@ -118,6 +118,13 @@ class TestStationary:
         assert code == 0
         assert out.split()[1] == "Uniform"
 
+    def test_config_list_on_scalar_key_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": [0.01], "h": -0.01}))
+        code, _, err = run(capsys, "stationary", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and "'d'" in err
+
 
 class TestSimulate:
     def test_already_stationary(self, capsys, tmp_path):

@@ -26,6 +26,22 @@ def fig2_pot_record():
     return integrate(prof, spec, ConstantCoupling(0.01), t_end=2e4, snapshot_every=500)
 
 
+def _counting_double_well(h):
+    """A DoubleWell(h) and the list that each of its gradient calls extends."""
+    calls = []
+
+    class CountingDoubleWell(DoubleWell):
+        def gradient(self, y):
+            calls.append(y)
+            return super().gradient(y)
+
+        def gradient_unchecked(self, arr):
+            calls.append(arr)
+            return super().gradient_unchecked(arr)
+
+    return CountingDoubleWell(h), calls
+
+
 class TestGridProfile:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -114,6 +130,18 @@ class TestIntegrate:
         assert rec.steady
         assert rec.t_final == 0.0
         assert np.allclose(rec.final.values, y_plus)
+
+    def test_one_gradient_call_without_steps(self):
+        # a run that takes no step evaluates the right-hand side once
+        pts = find_stationary_points(DoubleWell(0.01))
+        coupling = ConstantCoupling(0.01)
+        spec, calls = _counting_double_well(0.01)
+        integrate(Profile.uniform(Grid(1.0, 201), pts.y_plus), spec, coupling, t_end=10.0)
+        assert len(calls) == 1
+        calls.clear()
+        prof = Profile.uniform(Grid(1.0, 21), pts.y_minus, boundary_value=pts.y_plus)
+        integrate(prof, spec, coupling, t_end=0.0)
+        assert len(calls) == 1
 
     def test_fig2_uniform_branch(self):
         spec = DoubleWell(0.01)

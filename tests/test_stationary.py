@@ -57,6 +57,21 @@ class TestSolveStationary:
         with pytest.raises(ValueError):
             solve_stationary(DoubleWell(0.01), -1.0)
 
+    def test_coarse_grid_relaxes(self):
+        # dx = 0.5: an explicit step at 0.4 dx^2/D = 10 is far past 2/max|U''|
+        sol = solve_stationary(DoubleWell(-0.01), 0.01, grid=Grid(1.0, 5))
+        assert sol.steady
+        assert sol.classification == POT_SHAPED
+
+    def test_single_interior_node_hits_slope_floor(self):
+        with pytest.raises(ValueError, match="5 grid nodes"):
+            solve_stationary(DoubleWell(-0.01), 0.01, grid=Grid(1.0, 3))
+
+    def test_t_exit_is_model_time(self, fig2_pot):
+        # explicit Euler (dt = 0.4 dx^2/D) reaches steady at t = 318.4
+        _, sol = fig2_pot
+        assert sol.t_exit == pytest.approx(318.4, rel=0.15)
+
 
 class TestFirstIntegral:
     def test_uniform_constant(self):
