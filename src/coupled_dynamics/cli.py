@@ -256,7 +256,9 @@ def cmd_threshold_sc(args: argparse.Namespace) -> int:
 
 # Every cdl flag once: its name (the option is "--" + name with "-" for "_")
 # and its add_argument keywords.  Flags default to SUPPRESS so that a flag
-# left out does not mask its config value.
+# left out does not mask its config value.  "takes_list" is not an argparse
+# keyword: it marks a key read through `_floats`, whose config value may be
+# a JSON list; `build_parser` strips it.
 _FLAGS = {
     "family": {"choices": ["dw", "ldpc"]},
     "h": {"type": float},
@@ -275,11 +277,11 @@ _FLAGS = {
     "max_iter": {"type": int},
     "threshold": {"action": "store_true"},
     "curve": {"action": "store_true"},
-    "h_bracket": {"help": "comma pair"},
+    "h_bracket": {"help": "comma pair", "takes_list": True},
     "jobs": {"type": int},
-    "bracket": {"nargs": 2, "type": float, "required": True},
+    "bracket": {"nargs": 2, "type": float, "required": True, "takes_list": True},
 }
-_COMMA_LIST = {"type": None, "help": "comma list"}
+_COMMA_LIST = {"type": None, "help": "comma list", "takes_list": True}
 _SPEC_FLAGS = "family h eps dv dc"
 
 # Subcommand: handler, help, its flags in help order, per-subcommand overrides.
@@ -315,9 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
         list_keys = set()
         for flag in flags.split():
             kwargs = {"default": _S, **_FLAGS[flag], **overrides.get(flag, {})}
-            sp.add_argument("--" + flag.replace("_", "-"), **kwargs)
-            if "nargs" in kwargs or overrides.get(flag) is _COMMA_LIST:
+            if kwargs.pop("takes_list", False):
                 list_keys.add(flag)
+            sp.add_argument("--" + flag.replace("_", "-"), **kwargs)
         # Config keys that may hold a JSON list; `_merge` rejects one elsewhere.
         sp.set_defaults(func=func, list_keys=frozenset(list_keys))
     return parser

@@ -276,7 +276,8 @@ def _relax(
     the explicit reaction (Shen & Yang, DCDS-A 28, 2010).  The matrix is
     factored once.  The clock advances by tau per step, so t_end is model
     time.  Stops once max|r| < steady_tol; returns (final profile, max|r|,
-    t).  Its fixed points are exactly those of the 3-point stencil.
+    t).  Its fixed points are exactly those of the 3-point stencil.  Needs
+    at least two interior nodes: dpttrf rejects an empty off-diagonal.
     """
     work = profile0.copy()
     y = work.values
@@ -286,17 +287,9 @@ def _relax(
     tau = 1.0 / (1.0 + 0.5 * _reaction_lipschitz(spec))
     k = tau * d / dx**2
     n = len(y) - 2
-    main = np.full(n, 1.0 + 2.0 * k)
-    if n == 1:  # LAPACK rejects the empty off-diagonal of one interior node
-        def solve(b):
-            return b / main
-    else:
-        # Diagonally dominant with a positive diagonal, hence SPD: the
-        # factorization cannot fail.
-        diag, off, _ = dpttrf(main, np.full(n - 1, -k))
-
-        def solve(b):
-            return dpttrs(diag, off, b)[0]
+    # Diagonally dominant with a positive diagonal, hence SPD: the
+    # factorization cannot fail.
+    diag, off, _ = dpttrf(np.full(n, 1.0 + 2.0 * k), np.full(n - 1, -k))
     t = 0.0
     for _ in range(math.ceil(t_end / tau)):
         r = _interior_rhs(y, dx, gradient, coupling)
@@ -306,7 +299,7 @@ def _relax(
             raise DivergenceError(t, node)
         if residual < steady_tol:
             break
-        y[1:-1] += solve(tau * r)
+        y[1:-1] += dpttrs(diag, off, tau * r)[0]
         t += tau
     else:
         residual = float(np.max(np.abs(_interior_rhs(y, dx, gradient, coupling))))

@@ -119,14 +119,18 @@ _END_WEIGHTS = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _NEAR_END_WEIGHTS = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
+def _require_slope_nodes(n_points: int) -> None:
+    if n_points < 5:
+        raise ValueError(
+            f"fourth-order slopes need at least 5 grid nodes, got {n_points}"
+        )
+
+
 def _slopes(profile: Profile) -> np.ndarray:
     """Fourth-order y' at every node: 5-point central differences inside,
     one-sided 5-point stencils at the two end nodes and their neighbours."""
     y = profile.values
-    if len(y) < 5:
-        raise ValueError(
-            f"fourth-order slopes need at least 5 grid nodes, got {len(y)}"
-        )
+    _require_slope_nodes(len(y))
     s = np.empty_like(y)
     s[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / 12.0
     s[0] = _END_WEIGHTS @ y[:5]
@@ -195,12 +199,14 @@ def solve_stationary(
     Newton-polished on the fourth-order (Numerov) discretization until its
     residual is below steady_tol.  `residual` reports the Numerov residual of
     the returned profile, and `steady` is True only when the polish
-    converged; otherwise the classification is Other.
+    converged; otherwise the classification is Other.  The grid needs at
+    least 5 nodes, the floor of the fourth-order slopes.
     """
     if d <= 0:
         raise ValueError(f"coupling constant must be positive, got {d}")
     if grid is None:
         grid = Grid(1.0, 201)
+    _require_slope_nodes(grid.n_points)
     pts = find_stationary_points(spec)
     y_plus = pts.y_plus
     if y0 is None:

@@ -210,6 +210,19 @@ class TestBifurcation:
         assert code == 0
         assert "2 cells, 1 pot-shaped" in out
 
+    def test_config_h_bracket_json_list(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"d": [0.05], "h": [-0.05], "curve": True, "h-bracket": [-0.2, -0.01],
+             "tol": 1e-2, "n": 101}
+        ))
+        code, out, err = run(capsys, "bifurcation", "--config", str(cfg))
+        assert code == 0, err
+        line = out.splitlines()[1]
+        assert "error=" not in line
+        h_crit = float(line.split("h_crit=")[1])
+        assert h_crit == pytest.approx(-0.024, abs=1e-2)
+
 
 # Flag surface of every subcommand: option strings -> (type, nargs, required).
 STR, FLOAT, INT = (None, None, False), (float, None, False), (int, None, False)
