@@ -5,12 +5,13 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .pde import Grid
-from .potentials import DoubleWell, Potential, find_stationary_points
+from .potentials import DoubleWell, find_stationary_points
 from .stationary import OTHER, POT_SHAPED, UNIFORM, solve_stationary
 
 UNRESOLVED = "Unresolved"
@@ -41,14 +42,8 @@ def default_sweep_box() -> tuple[np.ndarray, np.ndarray]:
     return d_values, h_values
 
 
-def _classify_cell(
-    d: float,
-    h: float,
-    make_spec: Callable[[float], Potential],
-    grid: Optional[Grid],
-    t_cap: float,
-) -> BifurcationCell:
-    spec = make_spec(h)
+def _classify_cell(d: float, h: float, grid: Optional[Grid], t_cap: float) -> BifurcationCell:
+    spec = DoubleWell(h)
     pts = find_stationary_points(spec)
     if not pts.is_bistable:
         return BifurcationCell(
@@ -64,51 +59,52 @@ def _classify_cell(
     return BifurcationCell(d=d, h=h, classification=sol.classification, t_exit=sol.t_exit)
 
 
-def _cell_worker(args) -> BifurcationCell:
-    return _classify_cell(*args)
-
-
 def sweep(
     d_values: Sequence[float],
     h_values: Sequence[float],
-    make_spec: Callable[[float], Potential] = DoubleWell,
     grid: Optional[Grid] = None,
     t_cap: float = DEFAULT_T_CAP,
     jobs: int = 1,
 ) -> list[BifurcationCell]:
-    """Classify every (d, h) cell, row-major in (d, h) order.
+    """Classify every (d, h) cell of the DoubleWell(h) tilt plane, row-major
+    in (d, h) order.
 
     The initial state is the smaller stable point of each cell's potential.
     Non-bistable cells are recorded with an error and the sweep continues.
-    Cells are independent; with jobs > 1 they run on a process pool, output
-    order unchanged.
+    Cells are independent; with jobs > 1 they run on a process pool of at
+    most one worker per cell, output order unchanged.
     """
-    tasks = [(float(d), float(h), make_spec, grid, t_cap) for d in d_values for h in h_values]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_cell_worker, tasks))
-    return [_cell_worker(t) for t in tasks]
+    cells = [(float(d), float(h)) for d in d_values for h in h_values]
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        ds, hs = zip(*cells)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_classify_cell, ds, hs, repeat(grid), repeat(t_cap)))
+    return [_classify_cell(d, h, grid, t_cap) for d, h in cells]
 
 
 def critical_curve(
     d_values: Sequence[float],
-    make_spec: Callable[[float], Potential] = DoubleWell,
     h_bracket: tuple[float, float] = (-0.3, -1e-3),
     tol: float = 1e-4,
     grid: Optional[Grid] = None,
     t_cap: float = DEFAULT_T_CAP,
 ) -> list[CurvePoint]:
-    """Bisect the Uniform/PotShaped boundary in h for each coupling value.
+    """Bisect the Uniform/PotShaped boundary in the DoubleWell tilt h for each
+    coupling value.
 
     The bracket endpoints must classify differently; couplings where they do
     not (or where a probe stays unresolved) are reported with an error and
-    the remaining couplings continue.
+    the remaining couplings continue.  tol must be positive: bisection stalls
+    once the bracket ends are adjacent floats.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     curve: list[CurvePoint] = []
     for d in d_values:
         d = float(d)
-        cls_a = _classify_cell(d, h_bracket[0], make_spec, grid, t_cap).classification
-        cls_b = _classify_cell(d, h_bracket[1], make_spec, grid, t_cap).classification
+        cls_a = _classify_cell(d, h_bracket[0], grid, t_cap).classification
+        cls_b = _classify_cell(d, h_bracket[1], grid, t_cap).classification
         if cls_a == cls_b or UNRESOLVED in (cls_a, cls_b) or None in (cls_a, cls_b):
             curve.append(
                 CurvePoint(
@@ -123,7 +119,7 @@ def critical_curve(
         failed = False
         while abs(h_pot - h_uni) > tol:
             mid = 0.5 * (h_pot + h_uni)
-            cls_m = _classify_cell(d, mid, make_spec, grid, t_cap).classification
+            cls_m = _classify_cell(d, mid, grid, t_cap).classification
             if cls_m == POT_SHAPED:
                 h_pot = mid
             elif cls_m == UNIFORM:

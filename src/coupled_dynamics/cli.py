@@ -11,11 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import bifurcation as bif
 from . import de as de_mod
@@ -201,18 +198,14 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
 def cmd_bifurcation(args: argparse.Namespace) -> int:
     p = _merge(
         args,
-        {"xmax": 1.0, "n": 201, "t_cap": bif.DEFAULT_T_CAP, "tol": 1e-4, "jobs": None},
+        {"xmax": 1.0, "n": 201, "t_cap": bif.DEFAULT_T_CAP, "tol": 1e-4, "jobs": 1},
     )
     grid = pde.Grid(float(p["xmax"]), int(p["n"]))
-    jobs = p.get("jobs")
-    if jobs is None:
-        jobs = int(os.environ.get("CDL_JOBS", "1"))
-    jobs = int(jobs)
     d_default, h_default = bif.default_sweep_box()
     d_values = _floats(p["d"]) if "d" in p else list(d_default)
     h_values = _floats(p["h"]) if "h" in p else list(h_default)
     cells = bif.sweep(
-        d_values, h_values, grid=grid, t_cap=float(p["t_cap"]), jobs=jobs
+        d_values, h_values, grid=grid, t_cap=float(p["t_cap"]), jobs=int(p["jobs"])
     )
     out = p.get("out")
     if out:

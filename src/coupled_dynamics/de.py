@@ -64,11 +64,11 @@ def run_de(
     )
 
 
-def _decays_to_zero(eps: float, dv: int, dc: int, max_iter: int) -> bool:
+def _decays_to_zero(eps: float, dv: int, dc: int) -> bool:
     y = 1.0
     n = dv - 1
     m = dc - 1
-    for _ in range(max_iter):
+    for _ in range(DEFAULT_MAX_ITER):
         y_next = eps * (1.0 - (1.0 - y) ** m) ** n
         if y_next < ZERO_CUTOFF:
             return True
@@ -78,16 +78,11 @@ def _decays_to_zero(eps: float, dv: int, dc: int, max_iter: int) -> bool:
     return False
 
 
-def bp_threshold(
-    dv: int,
-    dc: int,
-    tol: float = 1e-4,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> float:
+def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
     """Largest erasure probability from which the recursion decays to zero.
 
     Bisection on eps over [0, 1]; an eps counts as below threshold when the
-    recursion from y0 = 1 drops under 1e-9.
+    recursion from y0 = 1 drops under 1e-9 within DEFAULT_MAX_ITER steps.
     """
     if dv < 2 or dc < 2:
         raise ValueError(f"degrees must be >= 2, got dv={dv}, dc={dc}")
@@ -96,7 +91,7 @@ def bp_threshold(
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _decays_to_zero(mid, dv, dc, max_iter):
+        if _decays_to_zero(mid, dv, dc):
             lo = mid
         else:
             hi = mid

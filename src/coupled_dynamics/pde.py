@@ -11,7 +11,7 @@ explicitly (IMEX Euler), so its step is limited by U'' alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,8 @@ from .potentials import Potential, find_stationary_points
 CFL_SAFETY = 0.4
 DEFAULT_STEADY_TOL = 1e-9
 DEFAULT_SNAPSHOT_EVERY = 100
+# Floor of AffineCoupling's diffusivity, which keeps it positive.
+CLIP_MIN = 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -118,19 +120,18 @@ class ConstantCoupling(Coupling):
 
 @dataclass(frozen=True)
 class AffineCoupling(Coupling):
-    """State-dependent built-in D(y) = max(d0 + d1*y, clip_min)."""
+    """State-dependent built-in D(y) = max(d0 + d1*y, CLIP_MIN)."""
 
     d0: float
     d1: float
-    clip_min: float = 1e-8
 
     def diffusivity(self, y):
         arr = np.asarray(y, dtype=float)
-        return np.maximum(self.d0 + self.d1 * arr, self.clip_min)
+        return np.maximum(self.d0 + self.d1 * arr, CLIP_MIN)
 
     def derivative(self, y):
         arr = np.asarray(y, dtype=float)
-        return np.where(self.d0 + self.d1 * arr > self.clip_min, self.d1, 0.0)
+        return np.where(self.d0 + self.d1 * arr > CLIP_MIN, self.d1, 0.0)
 
 
 @dataclass
@@ -312,32 +313,28 @@ def simulate_discrete_chain(
     coupling_strength: float,
     y0: float,
     t_end: float,
-    x_max: float = 1.0,
-    steady_tol: float = DEFAULT_STEADY_TOL,
-    dt: Optional[float] = None,
 ) -> np.ndarray:
     """Euler integration of the (2N+1)-copy chain with clamped endpoints.
 
     dy_i/dt = -U'(y_i) + (d/Delta^2)(y_{i+1} - 2 y_i + y_{i-1}) with
-    Delta = x_max/N; endpoints held at the largest stable point of U.
-    Kept as an independent code path to cross-validate the continuum solver.
+    Delta = 1/N (the chain spans [-1, 1]); endpoints held at the largest
+    stable point of U.  dt = min(0.5/max|U''|, CFL_SAFETY Delta^2/d); stops
+    once max|dy/dt| < DEFAULT_STEADY_TOL.  Kept as an independent code path
+    to cross-validate the continuum solver.
     """
     if n_copies < 3 or n_copies % 2 == 0:
         raise ValueError("n_copies must be an odd integer >= 3")
     if coupling_strength < 0:
         raise ValueError("coupling_strength must be >= 0")
     n_half = (n_copies - 1) // 2
-    delta = x_max / n_half
+    delta = 1.0 / n_half
     y_plus = find_stationary_points(spec).y_plus
 
-    if dt is None:
-        dt_react = 0.5 / max(_reaction_lipschitz(spec), 1e-12)
-        dt_diff = (
-            CFL_SAFETY * delta**2 / coupling_strength
-            if coupling_strength > 0
-            else np.inf
-        )
-        dt = min(dt_react, dt_diff)
+    dt_react = 0.5 / max(_reaction_lipschitz(spec), 1e-12)
+    dt_diff = (
+        CFL_SAFETY * delta**2 / coupling_strength if coupling_strength > 0 else np.inf
+    )
+    dt = min(dt_react, dt_diff)
 
     y = np.full(n_copies, float(y0))
     y[0] = y_plus
@@ -352,7 +349,7 @@ def simulate_discrete_chain(
         if not np.isfinite(res):
             node = int(np.flatnonzero(~np.isfinite(r))[0]) + 1
             raise DivergenceError(step * dt, node)
-        if res < steady_tol:
+        if res < DEFAULT_STEADY_TOL:
             break
         y[1:-1] += dt * r
         y[0] = y_plus

@@ -13,7 +13,7 @@ from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 ROOT_TOL = 1e-12
 SCAN_POINTS = 10_000
@@ -167,7 +167,6 @@ class ReflectedPotential(Potential):
 class StationaryPoint:
     y: float
     stable: bool
-    degenerate: bool = False
 
 
 @dataclass(frozen=True)
@@ -205,59 +204,31 @@ def _classify(spec: Potential, y: float) -> bool:
     return second > 0.0
 
 
-def find_stationary_points(
-    spec: Potential,
-    n_scan: int = SCAN_POINTS,
-    root_tol: float = ROOT_TOL,
-) -> StationaryPointSet:
-    """Locate all roots of dU/dy by dense sign scan plus bisection.
+def find_stationary_points(spec: Potential) -> StationaryPointSet:
+    """Locate all roots of dU/dy by a dense sign scan plus Brent refinement.
 
-    Sign-change roots are refined with Brent's method.  Grid points where the
-    gradient nearly touches zero without changing sign (saddle-node parameter
-    values) are refined by minimizing |dU/dy|^2 and reported as unstable with
-    the degenerate flag set.
+    Scan nodes where |dU/dy| < ROOT_TOL are roots as they stand; each sign
+    change between neighbouring nodes is refined with Brent's method.  A
+    double root that touches zero between nodes without a sign change (a
+    parameter within about 1e-9 of a fold) is not reported.
     """
     lo, hi = spec.domain
-    ys = np.linspace(lo, hi, n_scan)
+    ys = np.linspace(lo, hi, SCAN_POINTS)
     g = np.asarray(spec.gradient(ys))
 
-    roots: list[float] = []
-    degenerate: list[float] = []
-
     # Exact zeros at grid nodes (the LDPC family has one at y = 0).
-    for i in np.flatnonzero(np.abs(g) < root_tol):
-        roots.append(float(ys[i]))
+    roots = [float(ys[i]) for i in np.flatnonzero(np.abs(g) < ROOT_TOL)]
 
     sign = np.sign(g)
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
         r = brentq(lambda z: float(spec.gradient(z)), ys[i], ys[i + 1], xtol=1e-14)
         roots.append(float(r))
 
-    # Near-zero touches without a sign change: candidate double roots.
-    absg = np.abs(g)
-    for i in range(1, n_scan - 1):
-        if absg[i] < 1e-6 and absg[i] <= absg[i - 1] and absg[i] <= absg[i + 1]:
-            if any(abs(ys[i] - r) < 10 * (hi - lo) / n_scan for r in roots):
-                continue
-            res = minimize_scalar(
-                lambda z: float(spec.gradient(z)) ** 2,
-                bounds=(ys[i - 1], ys[i + 1]),
-                method="bounded",
-                options={"xatol": 1e-14},
-            )
-            if abs(float(spec.gradient(res.x))) < 1e-9:
-                degenerate.append(float(res.x))
-
     merged: list[StationaryPoint] = []
     for y in sorted(roots):
         if merged and abs(y - merged[-1].y) < 1e-9:
             continue
         merged.append(StationaryPoint(y, stable=_classify(spec, y)))
-    for y in degenerate:
-        if any(abs(y - p.y) < 1e-9 for p in merged):
-            continue
-        merged.append(StationaryPoint(y, stable=False, degenerate=True))
-    merged.sort(key=lambda p: p.y)
 
     if not merged:
         raise NoStationaryPointError(
@@ -274,9 +245,12 @@ def equal_height_parameter(
     """Parameter at which the two outer stable points have equal potential.
 
     Bisects the height difference U(y_minus) - U(y_plus) over the interval.
-    Requires bistability at every probed parameter and a sign change across
-    the bracket.
+    Requires bistability at every probed parameter, a sign change across
+    the bracket and tol > 0 (bisection stalls once the bracket ends are
+    adjacent floats).
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
 
     def height_diff(p: float) -> float:
         spec = make_spec(p)

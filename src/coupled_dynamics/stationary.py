@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
-from .pde import Grid, Profile, _relax
+from .pde import DEFAULT_STEADY_TOL, Grid, Profile, _relax
 from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_points
 
 POT_TOL = 1e-3
@@ -92,21 +92,16 @@ def _stationary_residual(profile: Profile, spec: Potential, d: float) -> float:
     return float(np.max(np.abs(res)))
 
 
-def classify_profile(
-    profile: Profile,
-    y_plus: float,
-    pot_tol: float = POT_TOL,
-    slope_tol: float = SLOPE_TOL,
-) -> str:
-    """Apply the discrete pot-shape predicate: a center dip below the boundary
-    with (numerically) monotone halves; near-boundary-flat profiles are
-    uniform; anything else is Other."""
+def classify_profile(profile: Profile, y_plus: float) -> str:
+    """Apply the discrete pot-shape predicate: a center dip of at least
+    POT_TOL below the boundary with halves monotone to within SLOPE_TOL;
+    profiles within POT_TOL of y_plus are uniform; anything else is Other."""
     y = profile.values
-    if float(np.max(np.abs(y - y_plus))) < pot_tol:
+    if float(np.max(np.abs(y - y_plus))) < POT_TOL:
         return UNIFORM
     center = (len(y) - 1) // 2
-    dips = y[center] < profile.boundary_value - pot_tol
-    monotone = bool(np.all(np.diff(y[center:]) >= -slope_tol))
+    dips = y[center] < profile.boundary_value - POT_TOL
+    monotone = bool(np.all(np.diff(y[center:]) >= -SLOPE_TOL))
     if dips and monotone:
         return POT_SHAPED
     return OTHER
@@ -183,9 +178,6 @@ def solve_stationary(
     grid: Optional[Grid] = None,
     y0: Optional[float] = None,
     t_cap: float = 2e4,
-    steady_tol: float = 1e-9,
-    pot_tol: float = POT_TOL,
-    slope_tol: float = SLOPE_TOL,
 ) -> StationarySolution:
     """Relax the PDE from a uniform initial state and classify the outcome.
 
@@ -193,14 +185,14 @@ def solve_stationary(
     of the potential; y0 defaults to the smallest stable point.  Relaxation
     takes IMEX Euler steps (diffusion implicit, reaction explicit) toward the
     fixed point of the second-order stencil, until that stencil's residual
-    is below steady_tol or the model time t_cap is reached; `t_exit` is the
-    model time it ran.  Every relaxed profile whose residual there is below
-    1e-4 (steady runs, and runs that hit t_cap already close) is then
+    is below DEFAULT_STEADY_TOL or the model time t_cap is reached; `t_exit`
+    is the model time it ran.  Every relaxed profile whose residual there is
+    below 1e-4 (steady runs, and runs that hit t_cap already close) is then
     Newton-polished on the fourth-order (Numerov) discretization until its
-    residual is below steady_tol.  `residual` reports the Numerov residual of
-    the returned profile, and `steady` is True only when the polish
-    converged; otherwise the classification is Other.  The grid needs at
-    least 5 nodes, the floor of the fourth-order slopes.
+    residual is below DEFAULT_STEADY_TOL.  `residual` reports the Numerov
+    residual of the returned profile, and `steady` is True only when the
+    polish converged; otherwise the classification is Other.  The grid needs
+    at least 5 nodes, the floor of the fourth-order slopes.
     """
     if d <= 0:
         raise ValueError(f"coupling constant must be positive, got {d}")
@@ -212,10 +204,10 @@ def solve_stationary(
     if y0 is None:
         y0 = pts.y_minus
     profile0 = Profile.uniform(grid, y0, boundary_value=y_plus)
-    final, relax_residual, t_exit = _relax(profile0, spec, d, t_cap, steady_tol)
-    steady = relax_residual < 1e-4 and _newton_polish(final, spec, d, steady_tol)
+    final, relax_residual, t_exit = _relax(profile0, spec, d, t_cap, DEFAULT_STEADY_TOL)
+    steady = relax_residual < 1e-4 and _newton_polish(final, spec, d, DEFAULT_STEADY_TOL)
     if steady:
-        classification = classify_profile(final, y_plus, pot_tol, slope_tol)
+        classification = classify_profile(final, y_plus)
     else:
         classification = OTHER
     return StationarySolution(
@@ -229,11 +221,7 @@ def solve_stationary(
 
 
 def refine_profile(
-    solution: StationarySolution,
-    spec: Potential,
-    d: float,
-    grid: Grid,
-    steady_tol: float = 1e-9,
+    solution: StationarySolution, spec: Potential, d: float, grid: Grid
 ) -> StationarySolution:
     """Transfer a stationary solution to a finer grid and re-converge it.
 
@@ -249,9 +237,9 @@ def refine_profile(
     src = solution.profile
     vals = CubicSpline(src.grid.x, src.values)(grid.x)
     new = Profile(grid, vals, boundary_value=src.boundary_value)
-    if not _newton_polish(new, spec, d, steady_tol):
+    if not _newton_polish(new, spec, d, DEFAULT_STEADY_TOL):
         raise NotSteadyError(
-            f"Newton polish failed to reach residual {steady_tol:g} on the"
+            f"Newton polish failed to reach residual {DEFAULT_STEADY_TOL:g} on the"
             f" refined grid (n={grid.n_points})"
         )
     y_plus = find_stationary_points(spec).y_plus

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from coupled_dynamics import bifurcation
 from coupled_dynamics.bifurcation import (
-    BifurcationCell,
     critical_curve,
     default_sweep_box,
     sweep,
@@ -43,6 +43,31 @@ class TestSweep:
             (c.d, c.h, c.classification) for c in parallel
         ]
 
+    @pytest.mark.parametrize("jobs, cells, workers", [(64, 1, None), (64, 3, 3), (2, 3, 2)])
+    def test_pool_capped_at_cell_count(self, monkeypatch, jobs, cells, workers):
+        # A stand-in pool that records its size and maps serially, so no
+        # process is started; None means the serial path ran without a pool.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bifurcation, "ProcessPoolExecutor", FakePool)
+        h_values = [-0.02, -0.05, -0.2][:cells]
+        got = sweep([0.1], h_values, grid=GRID, t_cap=2e3, jobs=jobs)
+        assert sizes == ([] if workers is None else [workers])
+        assert got == sweep([0.1], h_values, grid=GRID, t_cap=2e3)
+
     def test_default_box(self):
         d_values, h_values = default_sweep_box()
         assert len(d_values) == 13 and len(h_values) == 21
@@ -65,6 +90,11 @@ class TestCriticalCurve:
         )
         assert curve[0].error is not None
         assert np.isnan(curve[0].h_crit)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            critical_curve([0.1], h_bracket=(-0.3, -0.01), tol=tol, grid=GRID)
 
     def test_small_coupling_bound(self):
         # -h_crit collapses toward 0 as d shrinks: still pot-shaped at -h=0.01

@@ -83,6 +83,14 @@ class TestThresholdSc:
         assert code == 0
         assert float(out.split()[1]) == pytest.approx(0.4626865, abs=1e-4)
 
+    def test_zero_tol_exits_1(self, capsys):
+        code, _, err = run(
+            capsys, "threshold-sc", "--family", "ldpc", "--dv", "3", "--dc", "6",
+            "--bracket", "0.44", "0.5", "--tol", "0",
+        )
+        assert code == 1
+        assert "tol must be positive" in err
+
 
 class TestStationary:
     ARGS = ("stationary", "--h", "-0.01", "--d", "0.01", "--n", "101",
@@ -193,10 +201,9 @@ class TestBifurcation:
         assert lines[0] == "d,h,classification,t_exit"
         assert len(lines) == 3
 
-    def test_jobs_env_matches_serial(self, capsys, tmp_path, monkeypatch):
+    def test_jobs_flag_matches_serial(self, capsys, tmp_path):
         run(capsys, *self.ARGS, "--out", str(tmp_path / "serial"))
-        monkeypatch.setenv("CDL_JOBS", "2")
-        run(capsys, *self.ARGS, "--out", str(tmp_path / "par"))
+        run(capsys, *self.ARGS, "--jobs", "2", "--out", str(tmp_path / "par"))
         a = (tmp_path / "serial" / "bifurcation_sweep.csv").read_bytes()
         b = (tmp_path / "par" / "bifurcation_sweep.csv").read_bytes()
         assert a == b

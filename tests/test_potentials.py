@@ -137,6 +137,18 @@ class TestFindStationaryPoints:
             for a, b in zip(kinds, kinds[1:]):
                 assert a != b
 
+    def test_near_fold(self):
+        # DoubleWell is bistable for |h| < 2/(3 sqrt 3); 1e-6 either side of
+        # the fold the sign scan finds three alternating roots, then one.
+        fold = 2.0 / (3.0 * np.sqrt(3.0))
+        inside = find_stationary_points(DoubleWell(fold - 1e-6)).points
+        assert [p.stable for p in inside] == [True, False, True]
+        oracle = np.sort(np.roots([1.0, 0.0, -1.0, -(fold - 1e-6)]).real)
+        assert np.allclose([p.y for p in inside], oracle, atol=1e-10)
+        outside = find_stationary_points(DoubleWell(fold + 1e-6)).points
+        assert len(outside) == 1 and outside[0].stable
+        assert outside[0].y > 1.0
+
     def test_reflected(self):
         base = LdpcBec(0.45, 3, 6)
         refl = ReflectedPotential(base)
@@ -185,6 +197,11 @@ class TestEqualHeightParameter:
     def test_no_sign_change(self):
         with pytest.raises(BracketingError):
             equal_height_parameter(DoubleWell, (0.01, 0.1))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.44, 0.5), tol=tol)
 
 
 class TestValidation:
