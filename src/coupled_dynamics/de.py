@@ -1,18 +1,23 @@
-"""Uncoupled density-evolution recursion and BP-threshold bisection.
+"""Uncoupled density-evolution recursion and its BP threshold.
 
 The recursion y_{t+1} = eps * (1 - (1 - y_t)^(dc-1))^(dv-1) is a descent step
-of the LdpcBec potential: y_{t+1} - y_t = -dU/dy(y_t).
+of the LdpcBec potential: y_{t+1} - y_t = -dU/dy(y_t).  From y_0 = 1 it decays
+to zero exactly when eps is below the BP threshold, which `bp_threshold`
+computes from its fixed-point characterization (a minimum over x in (0, 1],
+the x -> 0 limit 1/(dc - 1) for dv = 2) without running the recursion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .potentials import LdpcBec
 
-ZERO_CUTOFF = 1e-9
 DEFAULT_MAX_ITER = 100_000
+# Grid cells over (0, 1] that bracket the minimizer of the threshold ratio.
+_THRESHOLD_GRID = 1000
 
 
 @dataclass
@@ -64,35 +69,28 @@ def run_de(
     )
 
 
-def _decays_to_zero(eps: float, dv: int, dc: int) -> bool:
-    y = 1.0
-    n = dv - 1
-    m = dc - 1
-    for _ in range(DEFAULT_MAX_ITER):
-        y_next = eps * (1.0 - (1.0 - y) ** m) ** n
-        if y_next < ZERO_CUTOFF:
-            return True
-        if abs(y_next - y) < 1e-14:
-            return False
-        y = y_next
-    return False
-
-
 def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
     """Largest erasure probability from which the recursion decays to zero.
 
-    Bisection on eps over [0, 1]; an eps counts as below threshold when the
-    recursion from y0 = 1 drops under 1e-9 within DEFAULT_MAX_ITER steps.
+    eps_BP = min over x in (0, 1] of x / (1 - (1 - x)^(dc-1))^(dv-1)
+    (Richardson & Urbanke, Modern Coding Theory, 2008): below it the map has
+    no fixed point but 0.  The minimum is located on a grid and refined by
+    bounded Brent minimization over the neighbouring cells, with `tol` as the
+    tolerance on the minimizer x.  For dv = 2 the ratio increases in x, so the
+    infimum is its x -> 0 limit 1/(dc - 1).
     """
     if dv < 2 or dc < 2:
         raise ValueError(f"degrees must be >= 2, got dv={dv}, dc={dc}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if _decays_to_zero(mid, dv, dc):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if dv == 2:
+        return 1.0 / (dc - 1)
+
+    def ratio(x):
+        return x / (1.0 - (1.0 - x) ** (dc - 1)) ** (dv - 1)
+
+    xs = np.linspace(0.0, 1.0, _THRESHOLD_GRID + 1)
+    i = 1 + int(np.argmin(ratio(xs[1:])))
+    bounds = (xs[i - 1], xs[min(i + 1, _THRESHOLD_GRID)])
+    res = minimize_scalar(ratio, bounds=bounds, method="bounded", options={"xatol": tol})
+    return float(min(res.fun, ratio(xs[i])))

@@ -244,10 +244,10 @@ def equal_height_parameter(
 ) -> float:
     """Parameter at which the two outer stable points have equal potential.
 
-    Bisects the height difference U(y_minus) - U(y_plus) over the interval.
-    Requires bistability at every probed parameter, a sign change across
-    the bracket and tol > 0 (bisection stalls once the bracket ends are
-    adjacent floats).
+    Brent's method on the height difference U(y_minus) - U(y_plus), which is
+    smooth in the parameter (Yedla, Jian, Nguyen & Pfister, 2012), to within
+    tol.  The bracket ends may come in either order.  Requires bistability at
+    every probed parameter, a sign change across the bracket and tol > 0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -263,21 +263,8 @@ def equal_height_parameter(
 
     a, b = float(param_interval[0]), float(param_interval[1])
     fa, fb = height_diff(a), height_diff(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
     if fa * fb > 0.0:
         raise BracketingError(
             f"height difference has the same sign at both ends of [{a}, {b}]"
         )
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        fm = height_diff(mid)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+    return float(brentq(height_diff, a, b, xtol=tol))

@@ -234,6 +234,7 @@ def refine_profile(
 
     if d <= 0:
         raise ValueError(f"coupling constant must be positive, got {d}")
+    _require_slope_nodes(grid.n_points)
     src = solution.profile
     vals = CubicSpline(src.grid.x, src.values)(grid.x)
     new = Profile(grid, vals, boundary_value=src.boundary_value)

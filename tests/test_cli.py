@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from coupled_dynamics import bifurcation as bif
 from coupled_dynamics.cli import build_parser, main
 
 
@@ -76,12 +77,13 @@ class TestThresholdSc:
         assert lines[0] == "family,value"
 
     def test_ldpc(self, capsys):
-        code, out, _ = run(
-            capsys, "threshold-sc", "--family", "ldpc", "--dv", "3", "--dc", "6",
-            "--bracket", "0.43", "0.6",
-        )
-        assert code == 0
-        assert float(out.split()[1]) == pytest.approx(0.4626865, abs=1e-4)
+        for bracket in (("0.43", "0.6"), ("0.6", "0.43")):
+            code, out, _ = run(
+                capsys, "threshold-sc", "--family", "ldpc", "--dv", "3", "--dc", "6",
+                "--bracket", *bracket,
+            )
+            assert code == 0
+            assert float(out.split()[1]) == pytest.approx(0.4626865, abs=1e-4)
 
     def test_zero_tol_exits_1(self, capsys):
         code, _, err = run(
@@ -216,6 +218,15 @@ class TestBifurcation:
         code, out, _ = run(capsys, "bifurcation", "--config", str(cfg))
         assert code == 0
         assert "2 cells, 1 pot-shaped" in out
+
+    def test_curve_zero_tol_exits_before_sweep(self, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before tol was checked")
+
+        monkeypatch.setattr(bif, "sweep", no_sweep)
+        code, _, err = run(capsys, *self.ARGS, "--curve", "--tol", "0")
+        assert code == 1
+        assert "tol must be positive" in err
 
     def test_config_h_bracket_json_list(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -67,6 +67,23 @@ class TestBpThreshold:
         # for dv=2 the threshold is where eps*(dc-1) = 1
         assert bp_threshold(2, 4, tol=1e-4) == pytest.approx(1.0 / 3.0, abs=2e-4)
 
+    def test_degree_two_limits(self):
+        # dc = 2: the ratio x^(2-dv) is smallest at x = 1; dv = 2: its x -> 0 limit
+        assert bp_threshold(3, 2) == 1.0
+        assert bp_threshold(2, 4) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "dv,dc", [(3, 6), (4, 8), (3, 4), (8, 21), (3, 16), (5, 6), (2, 4)]
+    )
+    def test_density_evolution_oracle(self, dv, dc):
+        # the recursion itself decays just below the threshold and stalls at a
+        # nonzero fixed point just above it
+        thr = bp_threshold(dv, dc, tol=1e-6)
+        below = run_de(LdpcBec(thr - 1e-4, dv, dc), y0=1.0, tol=1e-13)
+        above = run_de(LdpcBec(thr + 1e-4, dv, dc), y0=1.0, tol=1e-13)
+        assert below.converged and below.fixed_point < 1e-9
+        assert above.converged and above.fixed_point > 1e-9
+
     def test_refinement_consistency(self):
         coarse = bp_threshold(3, 6, tol=1e-2)
         fine = bp_threshold(3, 6, tol=1e-5)

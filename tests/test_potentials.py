@@ -193,6 +193,9 @@ class TestEqualHeightParameter:
         assert value == pytest.approx(oracle, abs=1e-4)
         # equal-height value of this potential family, frozen from the oracle
         assert value == pytest.approx(0.4626865, abs=1e-4)
+        # the bracket ends may come in either order
+        reversed_value = equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.6, 0.43))
+        assert reversed_value == pytest.approx(value, abs=1e-9)
 
     def test_no_sign_change(self):
         with pytest.raises(BracketingError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from coupled_dynamics import stationary
 from coupled_dynamics.pde import Grid, Profile
 from coupled_dynamics.potentials import DoubleWell, LdpcBec, equal_height_parameter
 from coupled_dynamics.stationary import (
@@ -208,6 +209,15 @@ class TestRefineProfile:
         spec, sol = fig2_pot
         with pytest.raises(ValueError):
             refine_profile(sol, spec, 0.0, Grid(1.0, 401))
+
+    def test_rejects_grid_below_five_nodes_before_polishing(self, fig2_pot, monkeypatch):
+        def no_polish(*args, **kwargs):
+            raise AssertionError("polished a grid that is then rejected")
+
+        monkeypatch.setattr(stationary, "_newton_polish", no_polish)
+        spec, sol = fig2_pot
+        with pytest.raises(ValueError, match="5 grid nodes"):
+            refine_profile(sol, spec, 0.01, Grid(1.0, 3))
 
 
 class TestVerifyNoPotShape:
