@@ -9,7 +9,7 @@ toward zero as d -> 0; below d ~ 0.05 it is already smaller than 1e-3 and
 the relaxation slows down critically, so the curve is bisected only on the
 resolvable side.
 
-Run:  python3 demos/bifurcation_map.py   (about 5 seconds)
+Run:  python3 demos/bifurcation_map.py   (about 2 seconds on a 2-core x86-64 VM)
 """
 from coupled_dynamics import Grid
 from coupled_dynamics.bifurcation import critical_curve, sweep

@@ -5,8 +5,8 @@ The field obeys  y_t = -U'(y) - (1/2) D'(y) y_x^2 + (D(y) y_x)_x  on
 second-order central differences in flux form.  `integrate` steps the
 trajectory with explicit Euler under a CFL safety factor and tracks the
 free-energy functional H = int [U(y) + D(y)/2 * y_x^2] dx along it.  `_relax`,
-which needs only the end state, takes diffusion implicitly and the reaction
-explicitly (IMEX Euler), so its step is limited by U'' alone.
+which needs only the end state, takes linearly implicit Euler steps whose
+size follows the local error, so slow tails take long steps.
 """
 from __future__ import annotations
 
@@ -15,13 +15,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv
 
 from .potentials import Potential, find_stationary_points
 
 CFL_SAFETY = 0.4
 DEFAULT_STEADY_TOL = 1e-9
 DEFAULT_SNAPSHOT_EVERY = 100
+# Largest local error, relative to the step, that a relaxation step accepts.
+RELAX_ERR_TOL = 0.1
 # Floor of AffineCoupling's diffusivity, which keeps it positive.
 CLIP_MIN = 1e-8
 
@@ -263,48 +265,73 @@ def _reaction_lipschitz(spec: Potential) -> float:
     return float(np.max(np.abs(np.gradient(g, ys))))
 
 
+def _curvature(gradient, domain: tuple[float, float], y: np.ndarray) -> np.ndarray:
+    """U''(y) by central differences of `gradient` (U'), step 1e-6, with both
+    probes clipped to the domain, so an unchecked gradient is safe."""
+    lo, hi = domain
+    delta = 1e-6
+    upp = np.asarray(gradient(np.clip(y + delta, lo, hi)))
+    low = np.asarray(gradient(np.clip(y - delta, lo, hi)))
+    return (upp - low) / (2.0 * delta)
+
+
 def _relax(
     profile0: Profile, spec: Potential, d: float, t_end: float, steady_tol: float
 ) -> tuple[Profile, float, float]:
-    """Relax toward a stationary profile under constant coupling d by IMEX
-    Euler (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 32, 1995): diffusion
-    implicit, reaction explicit,
+    """Relax toward a stationary profile under constant coupling d by
+    linearly implicit (Rosenbrock) Euler steps with local error control
+    (Hairer & Wanner, Solving ODEs II, IV.7):
 
-        (I + tau (d/dx^2) T) delta = tau r(y),   y <- y + delta,
+        (I - tau J) delta = tau r(y),   y <- y + delta,
 
-    with r the 3-point right-hand side, T = tridiag(-1, 2, -1) and
-    tau = 1/(1 + L/2) <= 2/L for L = max|U''|, the energy-stability bound of
-    the explicit reaction (Shen & Yang, DCDS-A 28, 2010).  The matrix is
-    factored once.  The clock advances by tau per step, so t_end is model
-    time.  Stops once max|r| < steady_tol; returns (final profile, max|r|,
-    t).  Its fixed points are exactly those of the 3-point stencil.  Needs
-    at least two interior nodes: dpttrf rejects an empty off-diagonal.
+    with r the 3-point right-hand side and J = (d/dx^2) tridiag(1, -2, 1)
+    - diag U''(y) its Jacobian, solved by LAPACK dgtsv (I - tau J can be
+    indefinite).  A step is accepted when (tau/2) max|r(y + delta) - r(y)|
+    / max|delta| <= RELAX_ERR_TOL; tau then changes by a factor in [0.2, 2]
+    but never drops below tau0 = 1/(1 + L/2), L = max|U''|, and a step of
+    at most tau0 is always accepted, so a non-finite state there raises
+    DivergenceError.  The clock advances by the accepted tau and the last
+    step is clipped, so t_end is model time and a capped run returns
+    t == t_end.  Stops once max|r| < steady_tol; returns (final profile,
+    max|r|, t).  Its fixed points are exactly those of the 3-point stencil.
     """
     work = profile0.copy()
     y = work.values
+    trial = y.copy()
     dx = work.grid.dx
     gradient = spec.gradient_unchecked
     coupling = ConstantCoupling(d)
-    tau = 1.0 / (1.0 + 0.5 * _reaction_lipschitz(spec))
-    k = tau * d / dx**2
-    n = len(y) - 2
-    # Diagonally dominant with a positive diagonal, hence SPD: the
-    # factorization cannot fail.
-    diag, off, _ = dpttrf(np.full(n, 1.0 + 2.0 * k), np.full(n - 1, -k))
+    k = d / dx**2
+    tau0 = 1.0 / (1.0 + 0.5 * _reaction_lipschitz(spec))
+    tau = tau0
     t = 0.0
-    for _ in range(math.ceil(t_end / tau)):
-        r = _interior_rhs(y, dx, gradient, coupling)
+    r = _interior_rhs(y, dx, gradient, coupling)
+    u2 = _curvature(gradient, spec.domain, y[1:-1])
+    while True:
         residual = float(np.max(np.abs(r)))
         if not np.isfinite(residual):
             node = int(np.flatnonzero(~np.isfinite(r))[0]) + 1
             raise DivergenceError(t, node)
-        if residual < steady_tol:
-            break
-        y[1:-1] += dpttrs(diag, off, tau * r)[0]
-        t += tau
-    else:
-        residual = float(np.max(np.abs(_interior_rhs(y, dx, gradient, coupling))))
-    return work, residual, t
+        if residual < steady_tol or t >= t_end:
+            return work, residual, t
+        last = t + tau >= t_end
+        step = t_end - t if last else tau
+        off = np.full(len(y) - 3, -step * k)
+        delta, info = dgtsv(off, 1.0 + step * (2.0 * k + u2), off, step * r)[3:]
+        # A singular matrix counts as a non-finite trial.
+        trial[1:-1] = y[1:-1] + delta if info == 0 else np.nan
+        r_trial = _interior_rhs(trial, dx, gradient, coupling)
+        change = float(np.max(np.abs(r_trial - r)))
+        err = 0.5 * step * change / float(np.max(np.abs(delta)))
+        if not math.isfinite(err):
+            err = math.inf
+        if step <= tau0 or err <= RELAX_ERR_TOL:
+            y[1:-1] = trial[1:-1]
+            r = r_trial
+            u2 = _curvature(gradient, spec.domain, y[1:-1])
+            t = t_end if last else t + step
+        grow = 0.9 * math.sqrt(RELAX_ERR_TOL / err) if err > 0.0 else 2.0
+        tau = max(tau0, step * min(2.0, max(0.2, grow)))
 
 
 def simulate_discrete_chain(

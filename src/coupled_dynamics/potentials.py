@@ -262,9 +262,12 @@ def equal_height_parameter(
         return float(spec.potential(pts.y_minus) - spec.potential(pts.y_plus))
 
     a, b = float(param_interval[0]), float(param_interval[1])
-    fa, fb = height_diff(a), height_diff(b)
-    if fa * fb > 0.0:
+    # brentq starts by evaluating both ends again; hand it these values.
+    ends = {a: height_diff(a), b: height_diff(b)}
+    if ends[a] * ends[b] > 0.0:
         raise BracketingError(
             f"height difference has the same sign at both ends of [{a}, {b}]"
         )
-    return float(brentq(height_diff, a, b, xtol=tol))
+    return float(
+        brentq(lambda p: ends[p] if p in ends else height_diff(p), a, b, xtol=tol)
+    )

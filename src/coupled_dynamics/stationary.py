@@ -1,10 +1,10 @@
 """Stationary boundary-value analysis of the pinned coupled system.
 
 Stationary profiles satisfy 0 = -U'(y) + D y'' with y(+-x_max) pinned at the
-largest stable point.  This module finds them by relaxation (IMEX Euler
-steps of the pinned gradient flow, whose fixed points are those of the
-second-order stencil) followed by a Newton polish on the fourth-order Numerov
-discretization
+largest stable point.  This module finds them by relaxation (error-controlled
+linearly implicit Euler steps of the pinned gradient flow, whose fixed points
+are those of the second-order stencil) followed by a Newton polish on the
+fourth-order Numerov discretization
 
     D (y[i+1] - 2 y[i] + y[i-1]) / dx^2 = (U'[i+1] + 10 U'[i] + U'[i-1]) / 12,
 
@@ -24,7 +24,7 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
-from .pde import DEFAULT_STEADY_TOL, Grid, Profile, _relax
+from .pde import DEFAULT_STEADY_TOL, Grid, Profile, _curvature, _relax
 from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_points
 
 POT_TOL = 1e-3
@@ -67,17 +67,13 @@ def _numerov_system(
 
     The residual D (y[i+1] - 2 y[i] + y[i-1]) / dx^2 - (U'[i+1] + 10 U'[i] +
     U'[i-1]) / 12 carries the units of -U' + D y'' and is O(dx^4) on a smooth
-    solution; U'' is taken by central differences of the gradient.
+    solution; U'' comes from `pde._curvature`.
     """
-    lo, hi = spec.domain
-    delta = 1e-6
     g = np.asarray(spec.gradient(y))
     res = d * (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2 - (
         g[2:] + 10.0 * g[1:-1] + g[:-2]
     ) / 12.0
-    upp = np.asarray(spec.gradient(np.clip(y[1:-1] + delta, lo, hi)))
-    low = np.asarray(spec.gradient(np.clip(y[1:-1] - delta, lo, hi)))
-    u2 = (upp - low) / (2.0 * delta)
+    u2 = _curvature(spec.gradient, spec.domain, y[1:-1])
     off = d / dx**2 - u2 / 12.0
     jac = np.zeros((3, len(u2)))
     jac[0, 1:] = off[1:]
@@ -183,16 +179,17 @@ def solve_stationary(
 
     Constant coupling only.  The boundary value is the largest stable point
     of the potential; y0 defaults to the smallest stable point.  Relaxation
-    takes IMEX Euler steps (diffusion implicit, reaction explicit) toward the
-    fixed point of the second-order stencil, until that stencil's residual
-    is below DEFAULT_STEADY_TOL or the model time t_cap is reached; `t_exit`
-    is the model time it ran.  Every relaxed profile whose residual there is
-    below 1e-4 (steady runs, and runs that hit t_cap already close) is then
-    Newton-polished on the fourth-order (Numerov) discretization until its
-    residual is below DEFAULT_STEADY_TOL.  `residual` reports the Numerov
-    residual of the returned profile, and `steady` is True only when the
-    polish converged; otherwise the classification is Other.  The grid needs
-    at least 5 nodes, the floor of the fourth-order slopes.
+    takes linearly implicit Euler steps, sized by their local error, toward
+    the fixed point of the second-order stencil, until that stencil's
+    residual is below DEFAULT_STEADY_TOL or the model time t_cap is reached;
+    `t_exit` is the model time it ran (t_cap exactly when capped).  Every
+    relaxed profile whose residual there is below 1e-4 (steady runs, and
+    runs that hit t_cap already close) is then Newton-polished on the
+    fourth-order (Numerov) discretization until its residual is below
+    DEFAULT_STEADY_TOL.  `residual` reports the Numerov residual of the
+    returned profile, and `steady` is True only when the polish converged;
+    otherwise the classification is Other.  The grid needs at least 5 nodes,
+    the floor of the fourth-order slopes.
     """
     if d <= 0:
         raise ValueError(f"coupling constant must be positive, got {d}")

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coupled_dynamics import potentials
 from coupled_dynamics.potentials import (
     BracketingError,
     DomainError,
@@ -200,6 +201,18 @@ class TestEqualHeightParameter:
     def test_no_sign_change(self):
         with pytest.raises(BracketingError):
             equal_height_parameter(DoubleWell, (0.01, 0.1))
+
+    def test_bracket_ends_evaluated_once(self, monkeypatch):
+        # the same-sign check's two end values are the ones brentq starts from
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return find_stationary_points(spec)
+
+        monkeypatch.setattr(potentials, "find_stationary_points", counted)
+        equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6))
+        assert len(calls) == 9
 
     @pytest.mark.parametrize("tol", [0.0, -1.0])
     def test_nonpositive_tol_rejected(self, tol):

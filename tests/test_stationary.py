@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
 
-from coupled_dynamics import stationary
-from coupled_dynamics.pde import Grid, Profile
-from coupled_dynamics.potentials import DoubleWell, LdpcBec, equal_height_parameter
+from coupled_dynamics import pde, stationary
+from coupled_dynamics.pde import DEFAULT_STEADY_TOL, Grid, Profile
+from coupled_dynamics.potentials import (
+    DoubleWell,
+    LdpcBec,
+    equal_height_parameter,
+    find_stationary_points,
+)
 from coupled_dynamics.stationary import (
     POT_SHAPED,
     UNIFORM,
@@ -39,8 +44,6 @@ class TestSolveStationary:
 
     def test_already_stationary(self):
         spec = DoubleWell(0.05)
-        from coupled_dynamics.potentials import find_stationary_points
-
         y_plus = find_stationary_points(spec).y_plus
         sol = solve_stationary(spec, 0.02, y0=y_plus)
         assert sol.classification == UNIFORM
@@ -49,8 +52,6 @@ class TestSolveStationary:
 
     def test_c_lower_bound(self, fig2_pot):
         spec, sol = fig2_pot
-        from coupled_dynamics.potentials import find_stationary_points
-
         y_plus = find_stationary_points(spec).y_plus
         assert sol.first_integral_constant >= -spec.potential(y_plus) - 1e-6
 
@@ -74,11 +75,43 @@ class TestSolveStationary:
         assert sol.t_exit == pytest.approx(318.4, rel=0.15)
 
 
+class TestRelaxation:
+    def test_capped_run_stops_at_t_cap(self):
+        sol = solve_stationary(DoubleWell(-0.01), 0.01, grid=Grid(1.0, 201), t_cap=50)
+        assert sol.t_exit == 50.0
+        assert not sol.steady
+
+    def test_slow_tail_takes_few_steps(self, monkeypatch):
+        # at h = 0 the fronts creep exponentially slowly; a fixed step of
+        # 1/(1 + L/2) needs about 65,000 stencil evaluations to reach t_cap
+        calls = []
+        interior_rhs = pde._interior_rhs
+
+        def counted(*args):
+            calls.append(None)
+            return interior_rhs(*args)
+
+        monkeypatch.setattr(pde, "_interior_rhs", counted)
+        sol = solve_stationary(DoubleWell(0.0), 0.001, grid=Grid(1.0, 101), t_cap=1e4)
+        assert sol.t_exit >= 1e4
+        assert len(calls) < 2000
+
+    @pytest.mark.parametrize("d, h", [(0.001, -0.005), (0.0316, -0.01), (0.1, -0.1)])
+    def test_monotone_in_time_from_lower_state(self, d, h):
+        # y_minus is a subsolution, so the flow from it never decreases
+        spec = DoubleWell(h)
+        pts = find_stationary_points(spec)
+        start = Profile.uniform(Grid(1.0, 101), pts.y_minus, boundary_value=pts.y_plus)
+        prev = start.values
+        for t_end in np.geomspace(0.5, 1e3, 40):
+            final, _, _ = pde._relax(start, spec, d, t_end, DEFAULT_STEADY_TOL)
+            assert np.min(final.values - prev) >= -1e-12
+            prev = final.values
+
+
 class TestFirstIntegral:
     def test_uniform_constant(self):
         spec = DoubleWell(0.05)
-        from coupled_dynamics.potentials import find_stationary_points
-
         y_plus = find_stationary_points(spec).y_plus
         sol = solve_stationary(spec, 0.02, y0=y_plus)
         fi = first_integral(sol, spec, 0.02)
@@ -119,8 +152,6 @@ class TestFirstIntegral:
     def test_rejects_grid_below_five_nodes(self):
         # fourth-order slopes need five nodes; the uniform state is stationary
         spec = DoubleWell(0.05)
-        from coupled_dynamics.potentials import find_stationary_points
-
         y_plus = find_stationary_points(spec).y_plus
         fake = StationarySolution(
             profile=Profile.uniform(Grid(1.0, 3), y_plus),
@@ -163,8 +194,6 @@ class TestQuadratureReconstruct:
     def test_global_minimum_boundary_never_pot_shaped(self):
         # boundary is the unique global min: either infeasible or a kink at 0
         spec = DoubleWell(0.01)
-        from coupled_dynamics.potentials import find_stationary_points
-
         pts = find_stationary_points(spec)
         c = -spec.potential(pts.y_plus) + 1e-4
         try:
@@ -179,8 +208,6 @@ class TestQuadratureReconstruct:
 
     def test_degenerate_uniform(self):
         spec = DoubleWell(0.01)
-        from coupled_dynamics.potentials import find_stationary_points
-
         y_plus = find_stationary_points(spec).y_plus
         prof = quadrature_reconstruct(spec, 0.01, 0.3, y_plus, grid=Grid(1.0, 101))
         assert np.allclose(prof.values, y_plus)
