@@ -17,7 +17,6 @@ from scipy.optimize import brentq
 
 ROOT_TOL = 1e-12
 SCAN_POINTS = 10_000
-_CURVATURE_DELTA = 1e-4
 
 
 class DomainError(ValueError):
@@ -52,20 +51,23 @@ class Potential:
         raise NotImplementedError
 
     def _check_domain(self, y):
+        """y as a float array; DomainError naming the first value outside the
+        domain (and its index, for arrays).  NaN passes."""
         arr = np.asarray(y, dtype=float)
         lo, hi = self.domain
         if np.any(arr < lo) or np.any(arr > hi):
-            bad = float(np.asarray(arr).ravel()[0]) if arr.ndim == 0 else None
+            idx = tuple(int(i) for i in np.argwhere((arr < lo) | (arr > hi))[0])
+            where = f" at index {idx[0] if len(idx) == 1 else idx}" if idx else ""
             raise DomainError(
-                f"state outside domain [{lo}, {hi}]"
-                + (f": {bad}" if bad is not None else "")
+                f"state outside domain [{lo}, {hi}]: {float(arr[idx])}{where}"
             )
         return arr
 
     def gradient_unchecked(self, arr: np.ndarray) -> np.ndarray:
-        """Vectorized dU/dy without the domain check, for integrator hot loops
-        whose state is already kept inside the domain by projection."""
-        return np.asarray(self.gradient(arr))
+        """Vectorized dU/dy without the domain check, for callers whose states
+        lie inside the domain by construction.  `gradient` is this formula
+        behind the domain check."""
+        raise NotImplementedError
 
 
 def _maybe_scalar(arr, template):
@@ -90,8 +92,7 @@ class DoubleWell(Potential):
         return _maybe_scalar(arr**4 / 4.0 - arr**2 / 2.0 - self.h * arr, y)
 
     def gradient(self, y):
-        arr = self._check_domain(y)
-        return _maybe_scalar(arr**3 - arr - self.h, y)
+        return _maybe_scalar(self.gradient_unchecked(self._check_domain(y)), y)
 
     def gradient_unchecked(self, arr):
         return arr * arr * arr - arr - self.h
@@ -129,11 +130,7 @@ class LdpcBec(Potential):
         return _maybe_scalar(arr**2 / 2.0 - self.epsilon * acc, y)
 
     def gradient(self, y):
-        arr = self._check_domain(y)
-        n = self.dv - 1
-        m = self.dc - 1
-        g = arr - self.epsilon * (1.0 - (1.0 - arr) ** m) ** n
-        return _maybe_scalar(g, y)
+        return _maybe_scalar(self.gradient_unchecked(self._check_domain(y)), y)
 
     def gradient_unchecked(self, arr):
         return arr - self.epsilon * (1.0 - (1.0 - arr) ** (self.dc - 1)) ** (self.dv - 1)
@@ -156,8 +153,7 @@ class ReflectedPotential(Potential):
         return _maybe_scalar(np.asarray(self.base.potential(-arr), dtype=float), y)
 
     def gradient(self, y):
-        arr = self._check_domain(y)
-        return _maybe_scalar(-np.asarray(self.base.gradient(-arr), dtype=float), y)
+        return _maybe_scalar(self.gradient_unchecked(self._check_domain(y)), y)
 
     def gradient_unchecked(self, arr):
         return -self.base.gradient_unchecked(-arr)
@@ -171,7 +167,8 @@ class StationaryPoint:
 
 @dataclass(frozen=True)
 class StationaryPointSet:
-    """Sorted roots of dU/dy on the domain, classified by local curvature."""
+    """Sorted roots of dU/dy on the domain, each classified stable or not by
+    the direction in which dU/dy changes sign there."""
 
     points: tuple[StationaryPoint, ...]
 
@@ -196,39 +193,41 @@ class StationaryPointSet:
         return len(self.stable_points) >= 2
 
 
-def _classify(spec: Potential, y: float) -> bool:
-    lo, hi = spec.domain
-    d = _CURVATURE_DELTA
-    yc = min(max(y, lo + d), hi - d)
-    second = spec.potential(yc + d) - 2.0 * spec.potential(yc) + spec.potential(yc - d)
-    return second > 0.0
-
-
 def find_stationary_points(spec: Potential) -> StationaryPointSet:
     """Locate all roots of dU/dy by a dense sign scan plus Brent refinement.
 
     Scan nodes where |dU/dy| < ROOT_TOL are roots as they stand; each sign
-    change between neighbouring nodes is refined with Brent's method.  A
-    double root that touches zero between nodes without a sign change (a
-    parameter within about 1e-9 of a fold) is not reported.
+    change between neighbouring nodes is refined with Brent's method.  Scan
+    and refinement stay inside the domain, so they use the unchecked
+    gradient.  A root is stable (a minimum of U) when dU/dy rises through
+    it: across its bracket, or, for a node root, towards its right neighbour
+    (away from its left one at the right end of the domain).  A double root
+    that touches zero between nodes without a sign change (a parameter
+    within about 1e-9 of a fold) is not reported.
     """
     lo, hi = spec.domain
     ys = np.linspace(lo, hi, SCAN_POINTS)
-    g = np.asarray(spec.gradient(ys))
-
-    # Exact zeros at grid nodes (the LDPC family has one at y = 0).
-    roots = [float(ys[i]) for i in np.flatnonzero(np.abs(g) < ROOT_TOL)]
-
+    g = spec.gradient_unchecked(ys)
     sign = np.sign(g)
+
+    # Exact zeros at grid nodes (the LDPC family has one at y = 0), with the
+    # direction of dU/dy read off the next node (the previous one at hi).
+    rising = np.append(sign[1:], -sign[-2]) > 0
+    roots = [
+        (float(ys[i]), bool(rising[i])) for i in np.flatnonzero(np.abs(g) < ROOT_TOL)
+    ]
+
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        r = brentq(lambda z: float(spec.gradient(z)), ys[i], ys[i + 1], xtol=1e-14)
-        roots.append(float(r))
+        r = brentq(
+            lambda z: float(spec.gradient_unchecked(z)), ys[i], ys[i + 1], xtol=1e-14
+        )
+        roots.append((float(r), bool(sign[i] < 0)))
 
     merged: list[StationaryPoint] = []
-    for y in sorted(roots):
+    for y, stable in sorted(roots, key=lambda root: root[0]):
         if merged and abs(y - merged[-1].y) < 1e-9:
             continue
-        merged.append(StationaryPoint(y, stable=_classify(spec, y)))
+        merged.append(StationaryPoint(y, stable))
 
     if not merged:
         raise NoStationaryPointError(
@@ -259,7 +258,8 @@ def equal_height_parameter(
             raise TopologyChangeError(
                 f"potential is not bistable at parameter {p}", p
             )
-        return float(spec.potential(pts.y_minus) - spec.potential(pts.y_plus))
+        u_minus, u_plus = spec.potential(np.array([pts.y_minus, pts.y_plus]))
+        return float(u_minus - u_plus)
 
     a, b = float(param_interval[0]), float(param_interval[1])
     # brentq starts by evaluating both ends again; hand it these values.

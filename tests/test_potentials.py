@@ -52,6 +52,17 @@ class TestEvalPotential:
         with pytest.raises(DomainError):
             DoubleWell(0.0).potential(3.0)
 
+    def test_domain_violation_names_first_bad_array_value(self):
+        with pytest.raises(DomainError, match=r"\[0\.0, 1\.0\]: 1\.5 at index 2$"):
+            LdpcBec(0.45, 3, 6).gradient(np.array([0.2, 0.4, 1.5, -0.5]))
+        with pytest.raises(DomainError, match=r": -3\.0 at index \(1, 0\)$"):
+            DoubleWell(0.0).potential(np.array([[0.0, 1.0], [-3.0, 2.5]]))
+        with pytest.raises(DomainError, match=r"\[-2\.0, 2\.0\]: 3\.0$"):
+            DoubleWell(0.0).gradient(3.0)
+
+    def test_nan_passes_domain_check(self):
+        assert np.isnan(DoubleWell(0.0).gradient(np.array([np.nan, 0.5]))[0])
+
 
 class TestEvalGradient:
     """Potential.gradient: roots, finite differences of .potential."""
@@ -61,6 +72,24 @@ class TestEvalGradient:
 
     def test_ldpc_at_one(self):
         assert LdpcBec(0.5, 3, 6).gradient(1.0) == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DoubleWell(0.013),
+            LdpcBec(0.45, 3, 6),
+            LdpcBec(0.3, 2, 5),
+            ReflectedPotential(DoubleWell(-0.2)),
+            ReflectedPotential(LdpcBec(0.45, 3, 6)),
+        ],
+        ids=repr,
+    )
+    def test_checked_equals_unchecked(self, spec):
+        lo, hi = spec.domain
+        ys = np.linspace(lo, hi, 1001)
+        ys[1:-1] += np.random.default_rng(0).uniform(-0.4, 0.4, 999) * (ys[1] - ys[0])
+        assert np.asarray(spec.gradient(ys)).tobytes() == spec.gradient_unchecked(ys).tobytes()
+        assert spec.gradient(float(ys[17])) == float(spec.gradient_unchecked(ys[17:18])[0])
 
     def test_finite_difference(self):
         spec = DoubleWell(0.01)
@@ -149,6 +178,50 @@ class TestFindStationaryPoints:
         outside = find_stationary_points(DoubleWell(fold + 1e-6)).points
         assert len(outside) == 1 and outside[0].stable
         assert outside[0].y > 1.0
+
+    @pytest.mark.parametrize(
+        "h",
+        [float(h) for h in np.linspace(-0.38, 0.38, 39)]
+        + [s * (2.0 / (3.0 * np.sqrt(3.0)) + t) for s in (1, -1) for t in (-1e-6, 1e-6)],
+    )
+    def test_double_well_stability_is_curvature_sign(self, h):
+        for p in find_stationary_points(DoubleWell(h)).points:
+            curvature = 3.0 * p.y**2 - 1.0
+            assert curvature != 0.0
+            assert p.stable == (curvature > 0.0)
+
+    @pytest.mark.parametrize("dv,dc", [(2, 3), (2, 7), (3, 4), (3, 6), (4, 8), (5, 9), (6, 12)])
+    def test_ldpc_stability_is_curvature_sign(self, dv, dc):
+        n, m = dv - 1, dc - 1
+        # eps = 0.07 + 0.1 k avoids the dv = 2 fold at y = 0, eps = 1/(dc - 1)
+        for eps in 0.07 + 0.1 * np.arange(10):
+            pts = find_stationary_points(LdpcBec(eps, dv, dc)).points
+            for p in pts:
+                t = 1.0 - p.y
+                curvature = 1.0 - eps * n * m * (1.0 - t**m) ** (n - 1) * t ** (m - 1)
+                assert curvature != 0.0
+                assert p.stable == (curvature > 0.0), (eps, p)
+
+    @pytest.mark.parametrize("dc", [3, 4, 6])
+    @pytest.mark.parametrize("offset", [-0.01, 0.01])
+    def test_node_root_at_left_end(self, dc, offset):
+        # dv = 2: U''(0) = 1 - eps (dc - 1), so y = 0 is stable below 1/(dc - 1)
+        spec = LdpcBec(1.0 / (dc - 1) + offset, 2, dc)
+        assert spec.gradient(0.0) == 0.0
+        first = find_stationary_points(spec).points[0]
+        assert first.y == 0.0
+        assert first.stable == (offset < 0)
+
+    @pytest.mark.parametrize(
+        "base,stable",
+        [(LdpcBec(0.45, 3, 6), True), (LdpcBec(0.3, 2, 4), True), (LdpcBec(0.35, 2, 4), False)],
+    )
+    def test_node_root_at_right_end(self, base, stable):
+        refl = ReflectedPotential(base)
+        assert refl.gradient(0.0) == 0.0
+        last = find_stationary_points(refl).points[-1]
+        assert last.y == 0.0
+        assert last.stable == stable
 
     def test_reflected(self):
         base = LdpcBec(0.45, 3, 6)
