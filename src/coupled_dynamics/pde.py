@@ -266,13 +266,12 @@ def _reaction_lipschitz(spec: Potential) -> float:
 
 
 def _curvature(gradient, domain: tuple[float, float], y: np.ndarray) -> np.ndarray:
-    """U''(y) by central differences of `gradient` (U'), step 1e-6, with both
-    probes clipped to the domain, so an unchecked gradient is safe."""
+    """U''(y) by central differences of `gradient` (U'), step 1e-6, about the
+    node moved one step inside the domain, so an unchecked gradient is safe."""
     lo, hi = domain
     delta = 1e-6
-    upp = np.asarray(gradient(np.clip(y + delta, lo, hi)))
-    low = np.asarray(gradient(np.clip(y - delta, lo, hi)))
-    return (upp - low) / (2.0 * delta)
+    y = np.clip(y, lo + delta, hi - delta)
+    return (np.asarray(gradient(y + delta)) - np.asarray(gradient(y - delta))) / (2.0 * delta)
 
 
 def _relax(

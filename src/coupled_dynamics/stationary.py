@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import solve_banded
 
 from .pde import DEFAULT_STEADY_TOL, Grid, Profile, _curvature, _relax
@@ -30,6 +29,8 @@ from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_
 POT_TOL = 1e-3
 SLOPE_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
+# Nodes in theta of `quadrature_reconstruct`'s cosine-substituted quadrature.
+_QUAD_NODES = 8001
 
 UNIFORM = "Uniform"
 POT_SHAPED = "PotShaped"
@@ -97,7 +98,8 @@ def classify_profile(profile: Profile, y_plus: float) -> str:
         return UNIFORM
     center = (len(y) - 1) // 2
     dips = y[center] < profile.boundary_value - POT_TOL
-    monotone = bool(np.all(np.diff(y[center:]) >= -SLOPE_TOL))
+    left, right = np.diff(y[: center + 1]), np.diff(y[center:])
+    monotone = bool(np.all(left <= SLOPE_TOL) and np.all(right >= -SLOPE_TOL))
     if dips and monotone:
         return POT_SHAPED
     return OTHER
@@ -281,8 +283,11 @@ def quadrature_reconstruct(
     """Rebuild a symmetric stationary profile from its first-integral constant.
 
     Integrates dx = sqrt(D/2) dy / sqrt(U(y) + C) upward from the center
-    value and inverts the monotone map x(y) onto the grid.  Square-root
-    substitutions absorb the integrable endpoint singularities.  Raises
+    value y_c to the boundary value y_b and inverts the monotone map x(y)
+    onto the grid.  One cosine substitution y = y_c + (y_b - y_c)(1 - cos
+    theta)/2 over theta in [0, pi], summed at midpoints, covers both ends:
+    sin theta cancels the integrable 1/sqrt of a simple zero of U + C, and at
+    a double zero (the heteroclinic case) x grows without bound.  Raises
     ReconstructionInfeasibleError when U + C dips below zero strictly inside
     the range, which is exactly the obstruction ruling out pot shapes when
     the boundary point is the unique global minimum.
@@ -297,20 +302,16 @@ def quadrature_reconstruct(
     if y_at_origin > y_b:
         raise ValueError("y_at_origin must not exceed the boundary value")
 
-    def g(y):
-        return np.asarray(spec.potential(y)) + c_const
-
     # A center value measured from a computed profile carries discretization
     # error in C; treat |U + C| below this scale as the slope-zero (smooth) case.
     clamp_tol = 1e-3
-    g0 = float(g(y_at_origin))
+    u0 = float(spec.potential(y_at_origin))
+    g0 = u0 + c_const
     if g0 < -clamp_tol:
         raise ReconstructionInfeasibleError(
             f"U + C = {g0:.3g} < 0 at the center value"
         )
-    c_eff = c_const
-    if abs(g0) <= clamp_tol:
-        c_eff = -float(np.asarray(spec.potential(y_at_origin)))
+    c_eff = -u0 if abs(g0) <= clamp_tol else c_const
 
     def g_eff(y):
         return np.asarray(spec.potential(y)) + c_eff
@@ -324,53 +325,19 @@ def quadrature_reconstruct(
             f" {y_b:.6g}); no monotone stationary branch exists"
         )
 
-    pref = np.sqrt(d / 2.0)
     span = y_b - y_at_origin
-    singular_start = abs(float(g_eff(y_at_origin))) < 1e-12
-    singular_end = abs(float(g_eff(y_b))) < 1e-12
 
-    ys_all = [np.array([y_at_origin])]
-    xs_all = [np.array([0.0])]
-    x_acc = 0.0
+    def y_of(theta):
+        return y_at_origin + 0.5 * span * (1.0 - np.cos(theta))
 
-    s_cut = 0.25 * span
-    lo_seg_end = y_at_origin + s_cut if singular_start else y_at_origin
-    hi_seg_start = y_b - s_cut if singular_end else y_b
+    theta = np.linspace(0.0, np.pi, _QUAD_NODES)
+    mid = 0.5 * (theta[1:] + theta[:-1])
+    integ = np.sin(mid) / np.sqrt(g_eff(y_of(mid)))
+    step = np.sqrt(d / 2.0) * 0.5 * span * (theta[1] - theta[0])
+    xs = step * np.concatenate(([0.0], np.cumsum(integ)))
+    ys = y_of(theta)
 
-    if singular_start:
-        s = np.linspace(0.0, np.sqrt(s_cut), 2001)
-        yv = y_at_origin + s**2
-        integ = np.empty_like(s)
-        integ[1:] = 2.0 * s[1:] / np.sqrt(g_eff(yv[1:]))
-        gprime = float(np.asarray(spec.gradient(y_at_origin)))
-        integ[0] = 2.0 / np.sqrt(abs(gprime)) if abs(gprime) > 1e-14 else integ[1]
-        xs = pref * cumulative_trapezoid(integ, s, initial=0.0)
-        ys_all.append(yv[1:])
-        xs_all.append(x_acc + xs[1:])
-        x_acc += xs[-1]
-
-    if hi_seg_start > lo_seg_end + 1e-15:
-        yv = np.linspace(lo_seg_end, hi_seg_start, 4001)
-        integ = 1.0 / np.sqrt(g_eff(yv))
-        xs = pref * cumulative_trapezoid(integ, yv, initial=0.0)
-        ys_all.append(yv[1:])
-        xs_all.append(x_acc + xs[1:])
-        x_acc += xs[-1]
-
-    if singular_end:
-        t = np.linspace(np.sqrt(s_cut), 1e-8, 2001)
-        yv = y_b - t**2
-        integ = 2.0 * t / np.sqrt(g_eff(yv))
-        xs = pref * cumulative_trapezoid(integ, -t, initial=0.0)
-        ys_all.append(yv[1:])
-        xs_all.append(x_acc + xs[1:])
-        x_acc += xs[-1]
-
-    ys = np.concatenate(ys_all)
-    xs = np.concatenate(xs_all)
-
-    x_grid = grid.x
-    vals = np.interp(np.abs(x_grid), xs, ys, right=ys[-1])
+    vals = np.interp(np.abs(grid.x), xs, ys, right=ys[-1])
     return Profile(grid, vals, boundary_value=float(vals[-1]))
 
 

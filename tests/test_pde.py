@@ -7,13 +7,20 @@ from coupled_dynamics.pde import (
     DivergenceError,
     Grid,
     Profile,
+    _curvature,
     energy,
     integrate,
     rhs,
     simulate_discrete_chain,
     stable_dt,
 )
-from coupled_dynamics.potentials import DomainError, DoubleWell, find_stationary_points
+from coupled_dynamics.potentials import (
+    DomainError,
+    DoubleWell,
+    LdpcBec,
+    ReflectedPotential,
+    find_stationary_points,
+)
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +126,32 @@ class TestRhs:
         prof = Profile(Grid(1.0, 21), vals, boundary_value=0.0)
         with pytest.raises(DomainError):
             rhs(prof, DoubleWell(0.0), coupling)
+
+
+def _reflected_ldpc_curvature(y, eps=0.45, dv=3, dc=6):
+    """Exact U''(y) of ReflectedPotential(LdpcBec(eps, dv, dc)), i.e. the base
+    U'' at z = -y."""
+    z = -y
+    inner = 1.0 - (1.0 - z) ** (dc - 1)
+    return 1.0 - eps * (dv - 1) * (dc - 1) * inner ** (dv - 2) * (1.0 - z) ** (dc - 2)
+
+
+class TestCurvature:
+    @pytest.mark.parametrize(
+        "spec, exact",
+        [
+            (DoubleWell(0.05), lambda y: 3.0 * y**2 - 1.0),
+            (ReflectedPotential(LdpcBec(0.45, 3, 6)), _reflected_ldpc_curvature),
+        ],
+        ids=["double_well", "reflected_ldpc"],
+    )
+    def test_matches_analytic_at_both_ends_and_inside(self, spec, exact):
+        # the domain-checked gradient raises if a probe leaves the domain
+        lo, hi = spec.domain
+        y = np.array([lo, 0.3 * lo + 0.7 * hi, hi])
+        assert _curvature(spec.gradient, spec.domain, y) == pytest.approx(
+            exact(y), rel=1e-4
+        )
 
 
 class TestIntegrate:

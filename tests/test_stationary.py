@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,14 @@ from coupled_dynamics.potentials import (
     find_stationary_points,
 )
 from coupled_dynamics.stationary import (
+    OTHER,
     POT_SHAPED,
     UNIFORM,
     HypothesisError,
     NotSteadyError,
     ReconstructionInfeasibleError,
     StationarySolution,
+    classify_profile,
     first_integral,
     quadrature_reconstruct,
     refine_profile,
@@ -220,6 +224,31 @@ class TestQuadratureReconstruct:
             quadrature_reconstruct(
                 spec, 0.01, c_bad, float(sol.profile.values[100]), grid=Grid(1.0, 201)
             )
+
+    @pytest.mark.parametrize("d", [0.01, 0.05])
+    @pytest.mark.parametrize("n", [201, 801])
+    def test_heteroclinic_kink_is_tanh(self, d, n):
+        # h = 0, C = 1/4: U + C = (1 - y^2)^2 / 4 has a double zero at the
+        # boundary value 1, and the profile from y(0) = 0 is tanh(|x|/sqrt(2d))
+        grid = Grid(1.0, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prof = quadrature_reconstruct(DoubleWell(0.0), d, 0.25, 0.0, grid=grid)
+        exact = np.tanh(np.abs(grid.x) / np.sqrt(2.0 * d))
+        assert np.max(np.abs(prof.values - exact)) < 1e-7
+
+
+class TestClassifyProfile:
+    def test_both_halves_must_be_monotone(self, fig2_pot):
+        _, sol = fig2_pot
+        prof = sol.profile
+        y_plus = prof.boundary_value
+        assert classify_profile(prof, y_plus) == POT_SHAPED
+        wiggled = prof.values.copy()
+        wiggled[20:40] += 0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 20))
+        for vals in (wiggled, wiggled[::-1]):
+            bumpy = Profile(prof.grid, vals.copy(), boundary_value=y_plus)
+            assert classify_profile(bumpy, y_plus) == OTHER
 
 
 class TestRefineProfile:
