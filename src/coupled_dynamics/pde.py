@@ -6,7 +6,10 @@ second-order central differences in flux form.  `integrate` steps the
 trajectory with explicit Euler under a CFL safety factor and tracks the
 free-energy functional H = int [U(y) + D(y)/2 * y_x^2] dx along it.  `_relax`,
 which needs only the end state, takes linearly implicit Euler steps whose
-size follows the local error, so slow tails take long steps.
+size follows the local error through the transient, then finishes the linear
+tail by Newton on the same 3-point system; the time it reports is the model
+time of its last accepted step plus the tail's extrapolated decay time
+ln(max|r| / tol) / lambda_1, lambda_1 the slowest decay rate there.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
 from .potentials import Potential, find_stationary_points
@@ -24,6 +28,10 @@ DEFAULT_STEADY_TOL = 1e-9
 DEFAULT_SNAPSHOT_EVERY = 100
 # Largest local error, relative to the step, that a relaxation step accepts.
 RELAX_ERR_TOL = 0.1
+# Stencil residual below which a relaxation is close enough to its fixed
+# point for Newton: `_relax` finishes its tail there, and `solve_stationary`
+# polishes a run capped there.
+RELAX_HANDOVER_TOL = 1e-4
 # Floor of AffineCoupling's diffusivity, which keeps it positive.
 CLIP_MIN = 1e-8
 
@@ -274,6 +282,47 @@ def _curvature(gradient, domain: tuple[float, float], y: np.ndarray) -> np.ndarr
     return (np.asarray(gradient(y + delta)) - np.asarray(gradient(y - delta))) / (2.0 * delta)
 
 
+def _newton_tail(
+    y: np.ndarray,
+    r: np.ndarray,
+    u2: np.ndarray,
+    dx: float,
+    spec: Potential,
+    d: float,
+    steady_tol: float,
+) -> Optional[tuple[np.ndarray, float, float]]:
+    """Newton on the 3-point system from y (residual r, U'' = u2): the
+    linearly implicit step with tau = infinity, (-J) delta = r, at most three
+    times.  Returns (interior nodes, max|r|, lambda_1) when the residual
+    falls below steady_tol at a stable fixed point (lambda_1, the smallest
+    eigenvalue of -J there, > 0) reached by a correction of one sign (to
+    1e-12), as the Perron-mode tail of a monotone flow is; else None."""
+    gradient = spec.gradient_unchecked
+    coupling = ConstantCoupling(d)
+    k = d / dx**2
+    off = np.full(len(y) - 3, -k)
+    z = y.copy()
+    for _ in range(3):
+        delta, info = dgtsv(off, 2.0 * k + u2, off, r)[3:]
+        if info != 0:
+            return None
+        z[1:-1] += delta
+        r = _interior_rhs(z, dx, gradient, coupling)
+        u2 = _curvature(gradient, spec.domain, z[1:-1])
+        residual = float(np.max(np.abs(r)))
+        if residual < steady_tol:
+            break
+    else:
+        return None
+    move = z[1:-1] - y[1:-1]
+    if min(float(np.max(move)), -float(np.min(move))) > 1e-12:
+        return None
+    lam1 = float(
+        eigvalsh_tridiagonal(2.0 * k + u2, off, select="i", select_range=(0, 0))[0]
+    )
+    return (z[1:-1], residual, lam1) if lam1 > 0.0 else None
+
+
 def _relax(
     profile0: Profile, spec: Potential, d: float, t_end: float, steady_tol: float
 ) -> tuple[Profile, float, float]:
@@ -291,8 +340,18 @@ def _relax(
     at most tau0 is always accepted, so a non-finite state there raises
     DivergenceError.  The clock advances by the accepted tau and the last
     step is clipped, so t_end is model time and a capped run returns
-    t == t_end.  Stops once max|r| < steady_tol; returns (final profile,
-    max|r|, t).  Its fixed points are exactly those of the 3-point stencil.
+    t == t_end.
+
+    Once max|r| < RELAX_HANDOVER_TOL the linear tail is finished by Newton
+    (`_newton_tail`, pseudo-transient continuation with tau -> infinity;
+    Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  Its fixed point is
+    accepted if stable, reached monotonically, and if the model time t +
+    ln(max|r| / steady_tol) / lambda_1, at which the tail's slowest mode
+    (rate lambda_1) would decay to steady_tol, is within t_end; that is the
+    returned t.  Otherwise stepping goes on, and Newton is retried once
+    max|r| has fallen tenfold.  Stops once max|r| < steady_tol; returns
+    (final profile, max|r|, t).  Its fixed points are exactly those of the
+    3-point stencil.
     """
     work = profile0.copy()
     y = work.values
@@ -304,6 +363,7 @@ def _relax(
     tau0 = 1.0 / (1.0 + 0.5 * _reaction_lipschitz(spec))
     tau = tau0
     t = 0.0
+    newton_below = RELAX_HANDOVER_TOL
     r = _interior_rhs(y, dx, gradient, coupling)
     u2 = _curvature(gradient, spec.domain, y[1:-1])
     while True:
@@ -313,6 +373,14 @@ def _relax(
             raise DivergenceError(t, node)
         if residual < steady_tol or t >= t_end:
             return work, residual, t
+        if residual < newton_below:
+            tail = _newton_tail(y, r, u2, dx, spec, d, steady_tol)
+            if tail is not None:
+                t_tail = t + math.log(residual / steady_tol) / tail[2]
+                if t_tail <= t_end:
+                    y[1:-1] = tail[0]
+                    return work, tail[1], t_tail
+            newton_below = 0.1 * residual
         last = t + tau >= t_end
         step = t_end - t if last else tau
         off = np.full(len(y) - 3, -step * k)

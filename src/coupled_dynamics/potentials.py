@@ -89,7 +89,8 @@ class DoubleWell(Potential):
 
     def potential(self, y):
         arr = self._check_domain(y)
-        return _maybe_scalar(arr**4 / 4.0 - arr**2 / 2.0 - self.h * arr, y)
+        a2 = arr * arr
+        return _maybe_scalar(a2 * (0.25 * a2 - 0.5) - self.h * arr, y)
 
     def gradient(self, y):
         return _maybe_scalar(self.gradient_unchecked(self._check_domain(y)), y)

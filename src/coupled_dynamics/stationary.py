@@ -2,9 +2,9 @@
 
 Stationary profiles satisfy 0 = -U'(y) + D y'' with y(+-x_max) pinned at the
 largest stable point.  This module finds them by relaxation (error-controlled
-linearly implicit Euler steps of the pinned gradient flow, whose fixed points
-are those of the second-order stencil) followed by a Newton polish on the
-fourth-order Numerov discretization
+linearly implicit Euler steps of the pinned gradient flow, finished by Newton
+on its linear tail, whose fixed points are those of the second-order stencil)
+followed by a Newton polish on the fourth-order Numerov discretization
 
     D (y[i+1] - 2 y[i] + y[i-1]) / dx^2 = (U'[i+1] + 10 U'[i] + U'[i-1]) / 12,
 
@@ -23,7 +23,14 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .pde import DEFAULT_STEADY_TOL, Grid, Profile, _curvature, _relax
+from .pde import (
+    DEFAULT_STEADY_TOL,
+    RELAX_HANDOVER_TOL,
+    Grid,
+    Profile,
+    _curvature,
+    _relax,
+)
 from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_points
 
 POT_TOL = 1e-3
@@ -182,16 +189,19 @@ def solve_stationary(
     Constant coupling only.  The boundary value is the largest stable point
     of the potential; y0 defaults to the smallest stable point.  Relaxation
     takes linearly implicit Euler steps, sized by their local error, toward
-    the fixed point of the second-order stencil, until that stencil's
-    residual is below DEFAULT_STEADY_TOL or the model time t_cap is reached;
-    `t_exit` is the model time it ran (t_cap exactly when capped).  Every
-    relaxed profile whose residual there is below 1e-4 (steady runs, and
-    runs that hit t_cap already close) is then Newton-polished on the
-    fourth-order (Numerov) discretization until its residual is below
-    DEFAULT_STEADY_TOL.  `residual` reports the Numerov residual of the
-    returned profile, and `steady` is True only when the polish converged;
-    otherwise the classification is Other.  The grid needs at least 5 nodes,
-    the floor of the fourth-order slopes.
+    the fixed point of the second-order stencil and finishes the linear tail
+    by Newton on that stencil (see `pde._relax`), until the residual is below
+    DEFAULT_STEADY_TOL or the model time t_cap is reached.  `t_exit` is the
+    model time of the last accepted step plus, after a Newton finish, the
+    tail's extrapolated decay time ln(residual / DEFAULT_STEADY_TOL) /
+    lambda_1, lambda_1 the slowest decay rate at the fixed point; it is
+    t_cap exactly when capped.  Every relaxed profile whose residual is below
+    RELAX_HANDOVER_TOL (steady runs, and runs that hit t_cap already close)
+    is then Newton-polished on the fourth-order (Numerov) discretization
+    until its residual is below DEFAULT_STEADY_TOL.  `residual` reports the
+    Numerov residual of the returned profile, and `steady` is True only when
+    the polish converged; otherwise the classification is Other.  The grid
+    needs at least 5 nodes, the floor of the fourth-order slopes.
     """
     if d <= 0:
         raise ValueError(f"coupling constant must be positive, got {d}")
@@ -204,7 +214,9 @@ def solve_stationary(
         y0 = pts.y_minus
     profile0 = Profile.uniform(grid, y0, boundary_value=y_plus)
     final, relax_residual, t_exit = _relax(profile0, spec, d, t_cap, DEFAULT_STEADY_TOL)
-    steady = relax_residual < 1e-4 and _newton_polish(final, spec, d, DEFAULT_STEADY_TOL)
+    steady = relax_residual < RELAX_HANDOVER_TOL and _newton_polish(
+        final, spec, d, DEFAULT_STEADY_TOL
+    )
     if steady:
         classification = classify_profile(final, y_plus)
     else:
@@ -332,7 +344,10 @@ def quadrature_reconstruct(
 
     theta = np.linspace(0.0, np.pi, _QUAD_NODES)
     mid = 0.5 * (theta[1:] + theta[:-1])
-    integ = np.sin(mid) / np.sqrt(g_eff(y_of(mid)))
+    # Next to a double zero at y_b, U + C rounds to <= 0 at the last
+    # midpoints; clamped at 0 they add x = inf, as the heteroclinic tail does.
+    with np.errstate(divide="ignore"):
+        integ = np.sin(mid) / np.sqrt(np.maximum(g_eff(y_of(mid)), 0.0))
     step = np.sqrt(d / 2.0) * 0.5 * span * (theta[1] - theta[0])
     xs = step * np.concatenate(([0.0], np.cumsum(integ)))
     ys = y_of(theta)

@@ -32,6 +32,19 @@ class TestEvalPotential:
     def test_double_well_unit(self):
         assert DoubleWell(0.0).potential(1.0) == pytest.approx(-0.25, abs=1e-15)
 
+    def test_double_well_matches_polynomial(self):
+        # against exact rational arithmetic, relative to the terms' magnitudes
+        from fractions import Fraction
+
+        ys = np.linspace(-2.0, 2.0, 401)
+        for h in (-0.3, -0.01, 0.0, 0.07):
+            values = DoubleWell(h).potential(ys)
+            for y, v in zip(ys.tolist(), values.tolist()):
+                fy, fh = Fraction(y), Fraction(h)
+                exact = fy**4 / 4 - fy**2 / 2 - fh * fy
+                scale = fy**4 / 4 + fy**2 / 2 + abs(fh * fy)
+                assert abs(Fraction(v) - exact) <= Fraction(1e-15) * scale
+
     def test_ldpc_matches_simpson(self):
         spec = LdpcBec(0.45, 3, 6)
         assert spec.potential(0.5) == pytest.approx(

@@ -100,6 +100,89 @@ class TestRelaxation:
         assert sol.t_exit >= 1e4
         assert len(calls) < 2000
 
+    def test_newton_tail_halves_the_pot_solve(self, monkeypatch):
+        # the linear tail below RELAX_HANDOVER_TOL is one Newton finish, not
+        # about 75 more error-controlled steps (148 evaluations without it)
+        calls = []
+        interior_rhs = pde._interior_rhs
+
+        def counted(*args):
+            calls.append(None)
+            return interior_rhs(*args)
+
+        monkeypatch.setattr(pde, "_interior_rhs", counted)
+        sol = solve_stationary(DoubleWell(-0.01), 0.01, grid=Grid(1.0, 201))
+        assert sol.classification == POT_SHAPED
+        assert len(calls) < 100
+
+    def test_tail_past_t_end_keeps_stepping(self, monkeypatch):
+        # the fig-2 pot tail converges under Newton well before t = 300, but
+        # its extrapolated steady time (about 326) is past t_end
+        tails = []
+        newton_tail = pde._newton_tail
+
+        def recorded(*args):
+            tails.append(newton_tail(*args))
+            return tails[-1]
+
+        monkeypatch.setattr(pde, "_newton_tail", recorded)
+        spec = DoubleWell(-0.01)
+        pts = find_stationary_points(spec)
+        start = Profile.uniform(Grid(1.0, 201), pts.y_minus, boundary_value=pts.y_plus)
+        _, residual, t = pde._relax(start, spec, 0.01, 300.0, DEFAULT_STEADY_TOL)
+        assert any(tail is not None for tail in tails)
+        assert t == 300.0
+        assert residual >= DEFAULT_STEADY_TOL
+
+    def test_steady_relaxations_are_stable(self):
+        # the 35 cells of the benchmark's sweep box: every steady 3-point
+        # profile is a stable fixed point, -J positive definite (dense check)
+        grid = Grid(1.0, 101)
+        k = 1.0 / grid.dx**2
+        steady = 0
+        for d in 10.0 ** (-3.0 + np.array([0, 1, 9, 11, 12]) / 6.0):
+            for h in -0.005 * np.array([0, 1, 2, 4, 7, 10, 20]):
+                spec = DoubleWell(h)
+                pts = find_stationary_points(spec)
+                start = Profile.uniform(grid, pts.y_minus, boundary_value=pts.y_plus)
+                final, residual, _ = pde._relax(start, spec, d, 1e4, DEFAULT_STEADY_TOL)
+                if residual >= DEFAULT_STEADY_TOL:
+                    continue
+                steady += 1
+                y = final.values[1:-1]
+                minus_jac = (
+                    np.diag(2.0 * d * k + 3.0 * y**2 - 1.0)
+                    - np.diag(np.full(len(y) - 1, d * k), 1)
+                    - np.diag(np.full(len(y) - 1, d * k), -1)
+                )
+                assert np.linalg.eigvalsh(minus_jac)[0] > 0.0, (d, h)
+        assert steady == 33
+
+    def test_unstable_fixed_point_is_not_accepted(self):
+        # a small bump on the unstable state y_u = 0 (pinned there) is within
+        # Newton's reach of it; the flow instead leaves it for the stable
+        # plateau near 1
+        grid = Grid(1.0, 101)
+        start = Profile(grid, 1e-6 * np.cos(0.5 * np.pi * grid.x), boundary_value=0.0)
+        final, residual, t = pde._relax(start, DoubleWell(0.0), 0.01, 1e4, DEFAULT_STEADY_TOL)
+        assert residual < DEFAULT_STEADY_TOL
+        assert np.max(final.values) > 0.99
+        assert t > 10.0
+
+    def test_newton_finish_needs_one_signed_correction(self):
+        # about the stable uniform state y = 1 (h = 0), a one-signed offset is
+        # finished by Newton and a sign-changing one is refused
+        grid = Grid(1.0, 101)
+        spec = DoubleWell(0.0)
+        dx, d = grid.dx, 0.01
+        offsets = [(-np.cos(0.5 * np.pi * grid.x), True), (np.sin(np.pi * grid.x), False)]
+        for offset, accepted in offsets:
+            y = Profile(grid, 1.0 + 1e-6 * offset, boundary_value=1.0).values
+            r = pde._interior_rhs(y, dx, spec.gradient_unchecked, pde.ConstantCoupling(d))
+            u2 = pde._curvature(spec.gradient_unchecked, spec.domain, y[1:-1])
+            tail = pde._newton_tail(y, r, u2, dx, spec, d, DEFAULT_STEADY_TOL)
+            assert (tail is not None) == accepted
+
     @pytest.mark.parametrize("d, h", [(0.001, -0.005), (0.0316, -0.01), (0.1, -0.1)])
     def test_monotone_in_time_from_lower_state(self, d, h):
         # y_minus is a subsolution, so the flow from it never decreases
@@ -236,6 +319,27 @@ class TestQuadratureReconstruct:
             prof = quadrature_reconstruct(DoubleWell(0.0), d, 0.25, 0.0, grid=grid)
         exact = np.tanh(np.abs(grid.x) / np.sqrt(2.0 * d))
         assert np.max(np.abs(prof.values - exact)) < 1e-7
+
+
+    def test_heteroclinic_end_no_warning(self):
+        # C = -U(y_plus) gives U + C a double zero at the boundary value;
+        # next to it U + C rounds to <= 0, which must read as x = inf
+        grid = Grid(1.0, 201)
+        for h in np.linspace(-0.3, 0.3, 13):
+            spec = DoubleWell(float(h))
+            pts = find_stationary_points(spec)
+            y_u, y_plus = pts.unstable_points[0], pts.y_plus
+            c = -spec.potential(y_plus)
+            for f in np.linspace(0.05, 0.75, 8):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    prof = quadrature_reconstruct(
+                        spec, 0.01, c, y_u + f * (y_plus - y_u), grid=grid
+                    )
+                half = prof.values[100:]
+                assert np.all(np.isfinite(half))
+                assert np.all(np.diff(half) >= 0.0)
+                assert half[-1] <= y_plus
 
 
 class TestClassifyProfile:
