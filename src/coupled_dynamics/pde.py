@@ -238,8 +238,8 @@ def integrate(
     record(0.0)
     for step in range(math.ceil(t_end / dt)):
         r = _interior_rhs(y, dx, gradient, coupling)
-        residual = float(np.max(np.abs(r)))
-        if not np.isfinite(residual):
+        residual = float(np.abs(r).max())
+        if not math.isfinite(residual):
             node = int(np.flatnonzero(~np.isfinite(r))[0]) + 1
             raise DivergenceError(t, node)
         if residual < steady_tol:
@@ -252,7 +252,7 @@ def integrate(
         if (step + 1) % snapshot_every == 0:
             record(t)
     else:
-        residual = float(np.max(np.abs(_interior_rhs(y, dx, gradient, coupling))))
+        residual = float(np.abs(_interior_rhs(y, dx, gradient, coupling)).max())
         steady = residual < steady_tol
 
     record(t)
@@ -271,15 +271,6 @@ def _reaction_lipschitz(spec: Potential) -> float:
     ys = np.linspace(*spec.domain, 513)
     g = np.asarray(spec.gradient(ys))
     return float(np.max(np.abs(np.gradient(g, ys))))
-
-
-def _curvature(gradient, domain: tuple[float, float], y: np.ndarray) -> np.ndarray:
-    """U''(y) by central differences of `gradient` (U'), step 1e-6, about the
-    node moved one step inside the domain, so an unchecked gradient is safe."""
-    lo, hi = domain
-    delta = 1e-6
-    y = np.clip(y, lo + delta, hi - delta)
-    return (np.asarray(gradient(y + delta)) - np.asarray(gradient(y - delta))) / (2.0 * delta)
 
 
 def _newton_tail(
@@ -308,14 +299,14 @@ def _newton_tail(
             return None
         z[1:-1] += delta
         r = _interior_rhs(z, dx, gradient, coupling)
-        u2 = _curvature(gradient, spec.domain, z[1:-1])
-        residual = float(np.max(np.abs(r)))
+        u2 = spec.curvature_unchecked(z[1:-1])
+        residual = float(np.abs(r).max())
         if residual < steady_tol:
             break
     else:
         return None
     move = z[1:-1] - y[1:-1]
-    if min(float(np.max(move)), -float(np.min(move))) > 1e-12:
+    if min(float(move.max()), -float(move.min())) > 1e-12:
         return None
     lam1 = float(
         eigvalsh_tridiagonal(2.0 * k + u2, off, select="i", select_range=(0, 0))[0]
@@ -333,14 +324,14 @@ def _relax(
         (I - tau J) delta = tau r(y),   y <- y + delta,
 
     with r the 3-point right-hand side and J = (d/dx^2) tridiag(1, -2, 1)
-    - diag U''(y) its Jacobian, solved by LAPACK dgtsv (I - tau J can be
-    indefinite).  A step is accepted when (tau/2) max|r(y + delta) - r(y)|
-    / max|delta| <= RELAX_ERR_TOL; tau then changes by a factor in [0.2, 2]
-    but never drops below tau0 = 1/(1 + L/2), L = max|U''|, and a step of
-    at most tau0 is always accepted, so a non-finite state there raises
-    DivergenceError.  The clock advances by the accepted tau and the last
-    step is clipped, so t_end is model time and a capped run returns
-    t == t_end.
+    - diag U''(y) its Jacobian, U'' the family's exact `curvature_unchecked`,
+    solved by LAPACK dgtsv (I - tau J can be indefinite).  A step is
+    accepted when (tau/2) max|r(y + delta) - r(y)| / max|delta| <=
+    RELAX_ERR_TOL; tau then changes by a factor in [0.2, 2] but never drops
+    below tau0 = 1/(1 + L/2), L = max|U''|, and a step of at most tau0 is
+    always accepted, so a non-finite state there raises DivergenceError.
+    The clock advances by the accepted tau and the last step is clipped, so
+    t_end is model time and a capped run returns t == t_end.
 
     Once max|r| < RELAX_HANDOVER_TOL the linear tail is finished by Newton
     (`_newton_tail`, pseudo-transient continuation with tau -> infinity;
@@ -358,17 +349,20 @@ def _relax(
     trial = y.copy()
     dx = work.grid.dx
     gradient = spec.gradient_unchecked
+    curvature = spec.curvature_unchecked
     coupling = ConstantCoupling(d)
     k = d / dx**2
+    neg_k = np.full(len(y) - 3, -k)
     tau0 = 1.0 / (1.0 + 0.5 * _reaction_lipschitz(spec))
     tau = tau0
     t = 0.0
     newton_below = RELAX_HANDOVER_TOL
     r = _interior_rhs(y, dx, gradient, coupling)
-    u2 = _curvature(gradient, spec.domain, y[1:-1])
+    u2 = curvature(y[1:-1])
+    diag = 2.0 * k + u2
     while True:
-        residual = float(np.max(np.abs(r)))
-        if not np.isfinite(residual):
+        residual = float(np.abs(r).max())
+        if not math.isfinite(residual):
             node = int(np.flatnonzero(~np.isfinite(r))[0]) + 1
             raise DivergenceError(t, node)
         if residual < steady_tol or t >= t_end:
@@ -383,19 +377,23 @@ def _relax(
             newton_below = 0.1 * residual
         last = t + tau >= t_end
         step = t_end - t if last else tau
-        off = np.full(len(y) - 3, -step * k)
-        delta, info = dgtsv(off, 1.0 + step * (2.0 * k + u2), off, step * r)[3:]
+        off = step * neg_k
+        # The four flags let dgtsv overwrite these fresh arrays in place.
+        delta, info = dgtsv(
+            off, 1.0 + step * diag, off.copy(), step * r, True, True, True, True
+        )[3:]
         # A singular matrix counts as a non-finite trial.
         trial[1:-1] = y[1:-1] + delta if info == 0 else np.nan
         r_trial = _interior_rhs(trial, dx, gradient, coupling)
-        change = float(np.max(np.abs(r_trial - r)))
-        err = 0.5 * step * change / float(np.max(np.abs(delta)))
+        change = float(np.abs(r_trial - r).max())
+        err = 0.5 * step * change / float(np.abs(delta).max())
         if not math.isfinite(err):
             err = math.inf
         if step <= tau0 or err <= RELAX_ERR_TOL:
             y[1:-1] = trial[1:-1]
             r = r_trial
-            u2 = _curvature(gradient, spec.domain, y[1:-1])
+            u2 = curvature(y[1:-1])
+            diag = 2.0 * k + u2
             t = t_end if last else t + step
         grow = 0.9 * math.sqrt(RELAX_ERR_TOL / err) if err > 0.0 else 2.0
         tau = max(tau0, step * min(2.0, max(0.2, grow)))
@@ -439,8 +437,8 @@ def simulate_discrete_chain(
         r = spec.gradient_unchecked(y[1:-1])
         np.negative(r, out=r)
         r += k * (y[2:] - 2.0 * y[1:-1] + y[:-2])
-        res = float(np.max(np.abs(r)))
-        if not np.isfinite(res):
+        res = float(np.abs(r).max())
+        if not math.isfinite(res):
             node = int(np.flatnonzero(~np.isfinite(r))[0]) + 1
             raise DivergenceError(step * dt, node)
         if res < DEFAULT_STEADY_TOL:

@@ -3,8 +3,8 @@
 Two families are provided: a tilted double-well polynomial and the potential
 whose gradient reproduces the density-evolution recursion of regular LDPC
 ensembles over the binary erasure channel.  Both expose the potential, its
-analytic derivative, root finding for the stationary points, and the
-equal-height (Maxwell) parameter of a bistable family.
+first two derivatives in closed form, root finding for the stationary points,
+and the equal-height (Maxwell) parameter of a bistable family.
 """
 from __future__ import annotations
 
@@ -40,7 +40,8 @@ class NoStationaryPointError(RuntimeError):
 
 
 class Potential:
-    """Base class: a scalar potential U with analytic derivative on an interval."""
+    """Base class: a scalar potential U on an interval, with its first and
+    second derivatives U' and U'' in closed form."""
 
     domain: tuple[float, float]
 
@@ -67,6 +68,11 @@ class Potential:
         """Vectorized dU/dy without the domain check, for callers whose states
         lie inside the domain by construction.  `gradient` is this formula
         behind the domain check."""
+        raise NotImplementedError
+
+    def curvature_unchecked(self, arr: np.ndarray) -> np.ndarray:
+        """Vectorized d^2U/dy^2 without the domain check, for the Jacobians of
+        the relaxation and Newton solvers."""
         raise NotImplementedError
 
 
@@ -97,6 +103,9 @@ class DoubleWell(Potential):
 
     def gradient_unchecked(self, arr):
         return arr * arr * arr - arr - self.h
+
+    def curvature_unchecked(self, arr):
+        return 3.0 * arr * arr - 1.0
 
 
 @dataclass(frozen=True)
@@ -136,6 +145,11 @@ class LdpcBec(Potential):
     def gradient_unchecked(self, arr):
         return arr - self.epsilon * (1.0 - (1.0 - arr) ** (self.dc - 1)) ** (self.dv - 1)
 
+    def curvature_unchecked(self, arr):
+        n, m = self.dv - 1, self.dc - 1
+        t = 1.0 - arr
+        return 1.0 - self.epsilon * n * m * (1.0 - t**m) ** (n - 1) * t ** (m - 1)
+
 
 @dataclass(frozen=True)
 class ReflectedPotential(Potential):
@@ -158,6 +172,9 @@ class ReflectedPotential(Potential):
 
     def gradient_unchecked(self, arr):
         return -self.base.gradient_unchecked(-arr)
+
+    def curvature_unchecked(self, arr):
+        return self.base.curvature_unchecked(-arr)
 
 
 @dataclass(frozen=True)

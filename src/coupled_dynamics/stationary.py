@@ -28,7 +28,6 @@ from .pde import (
     RELAX_HANDOVER_TOL,
     Grid,
     Profile,
-    _curvature,
     _relax,
 )
 from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_points
@@ -75,13 +74,14 @@ def _numerov_system(
 
     The residual D (y[i+1] - 2 y[i] + y[i-1]) / dx^2 - (U'[i+1] + 10 U'[i] +
     U'[i-1]) / 12 carries the units of -U' + D y'' and is O(dx^4) on a smooth
-    solution; U'' comes from `pde._curvature`.
+    solution; U'' is the family's exact `curvature_unchecked`.  The gradient
+    is domain-checked, so a y outside the domain raises DomainError.
     """
     g = np.asarray(spec.gradient(y))
     res = d * (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2 - (
         g[2:] + 10.0 * g[1:-1] + g[:-2]
     ) / 12.0
-    u2 = _curvature(spec.gradient, spec.domain, y[1:-1])
+    u2 = spec.curvature_unchecked(y[1:-1])
     off = d / dx**2 - u2 / 12.0
     jac = np.zeros((3, len(u2)))
     jac[0, 1:] = off[1:]
@@ -149,10 +149,13 @@ def _newton_polish(
     profile: Profile, spec: Potential, d: float, tol: float, max_iter: int = 30
 ) -> bool:
     """Damped Newton on the fourth-order (Numerov) BVP, in place; returns True
-    when the residual falls below tol."""
+    when the residual falls below tol.  The start, like every trial, is
+    clipped into the domain: a relaxation that ends on a fixed point at the
+    domain edge may overshoot it by a few ulps."""
     y = profile.values
     dx = profile.grid.dx
     lo, hi = spec.domain
+    y[1:-1] = np.clip(y[1:-1], lo, hi)
     res, jac = _numerov_system(y, spec, d, dx)
     for _ in range(max_iter):
         norm = float(np.max(np.abs(res)))

@@ -7,7 +7,6 @@ from coupled_dynamics.pde import (
     DivergenceError,
     Grid,
     Profile,
-    _curvature,
     energy,
     integrate,
     rhs,
@@ -17,8 +16,6 @@ from coupled_dynamics.pde import (
 from coupled_dynamics.potentials import (
     DomainError,
     DoubleWell,
-    LdpcBec,
-    ReflectedPotential,
     find_stationary_points,
 )
 
@@ -128,32 +125,6 @@ class TestRhs:
             rhs(prof, DoubleWell(0.0), coupling)
 
 
-def _reflected_ldpc_curvature(y, eps=0.45, dv=3, dc=6):
-    """Exact U''(y) of ReflectedPotential(LdpcBec(eps, dv, dc)), i.e. the base
-    U'' at z = -y."""
-    z = -y
-    inner = 1.0 - (1.0 - z) ** (dc - 1)
-    return 1.0 - eps * (dv - 1) * (dc - 1) * inner ** (dv - 2) * (1.0 - z) ** (dc - 2)
-
-
-class TestCurvature:
-    @pytest.mark.parametrize(
-        "spec, exact",
-        [
-            (DoubleWell(0.05), lambda y: 3.0 * y**2 - 1.0),
-            (ReflectedPotential(LdpcBec(0.45, 3, 6)), _reflected_ldpc_curvature),
-        ],
-        ids=["double_well", "reflected_ldpc"],
-    )
-    def test_matches_analytic_at_both_ends_and_inside(self, spec, exact):
-        # the domain-checked gradient raises if a probe leaves the domain
-        lo, hi = spec.domain
-        y = np.array([lo, 0.3 * lo + 0.7 * hi, hi])
-        assert _curvature(spec.gradient, spec.domain, y) == pytest.approx(
-            exact(y), rel=1e-4
-        )
-
-
 class TestIntegrate:
     def test_starts_stationary(self):
         spec = DoubleWell(0.01)
@@ -254,8 +225,10 @@ class TestIntegrate:
         spec = DoubleWell(0.0, domain=(-1e8, 1e8))
         g = Grid(1.0, 11)
         prof = Profile.uniform(g, 1e5, boundary_value=1e5)
-        with pytest.raises(DivergenceError):
-            integrate(prof, spec, ConstantCoupling(0.01), t_end=10.0)
+        # the state grows without bound: y**3 overflows before it turns inf
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(DivergenceError):
+                integrate(prof, spec, ConstantCoupling(0.01), t_end=10.0)
 
     def test_auto_dt(self):
         g = Grid(1.0, 201)

@@ -131,6 +131,66 @@ class TestEvalGradient:
         assert abs(spec.gradient(y) - fd) <= 1e-5
 
 
+def _ldpc_curvature(y, eps, dv, dc):
+    """U''(y) of LdpcBec(eps, dv, dc): the derivative of
+    y - eps * (1 - (1 - y)^(dc-1))^(dv-1)."""
+    inner = 1.0 - (1.0 - y) ** (dc - 1)
+    return 1.0 - eps * (dv - 1) * (dc - 1) * inner ** (dv - 2) * (1.0 - y) ** (dc - 2)
+
+
+class TestCurvature:
+    @pytest.mark.parametrize(
+        "spec, exact",
+        [
+            (DoubleWell(0.05), lambda y: 3.0 * y**2 - 1.0),
+            (LdpcBec(0.45, 3, 6), lambda y: _ldpc_curvature(y, 0.45, 3, 6)),
+            (
+                ReflectedPotential(LdpcBec(0.45, 3, 6)),
+                lambda y: _ldpc_curvature(-y, 0.45, 3, 6),
+            ),
+        ],
+        ids=["double_well", "ldpc", "reflected_ldpc"],
+    )
+    def test_matches_exact_formula_at_both_ends_and_inside(self, spec, exact):
+        lo, hi = spec.domain
+        y = np.array([lo, 0.3 * lo + 0.7 * hi, hi])
+        assert spec.curvature_unchecked(y) == pytest.approx(exact(y), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DoubleWell(-0.3),
+            DoubleWell(0.0),
+            DoubleWell(0.05),
+            LdpcBec(0.45, 3, 6),
+            LdpcBec(0.7, 2, 5),
+            LdpcBec(0.7, 4, 2),
+            LdpcBec(0.7, 2, 2),
+            ReflectedPotential(LdpcBec(0.45, 3, 6)),
+            ReflectedPotential(DoubleWell(0.05)),
+        ],
+        ids=[
+            "double_well_h-0.3",
+            "double_well_h0",
+            "double_well_h0.05",
+            "ldpc_3_6",
+            "ldpc_2_5",
+            "ldpc_4_2",
+            "ldpc_2_2",
+            "reflected_ldpc",
+            "reflected_double_well",
+        ],
+    )
+    def test_matches_central_difference_of_gradient(self, spec):
+        # dv = 2 or dc = 2 puts a zero exponent into U''
+        delta = 1e-5
+        y = np.linspace(*spec.domain, 41)
+        fd = (
+            spec.gradient_unchecked(y + delta) - spec.gradient_unchecked(y - delta)
+        ) / (2.0 * delta)
+        np.testing.assert_allclose(spec.curvature_unchecked(y), fd, rtol=1e-6, atol=1e-6)
+
+
 class TestFindStationaryPoints:
     def test_symmetric_double_well(self):
         pts = find_stationary_points(DoubleWell(0.0))

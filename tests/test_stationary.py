@@ -8,6 +8,7 @@ from coupled_dynamics.pde import DEFAULT_STEADY_TOL, Grid, Profile
 from coupled_dynamics.potentials import (
     DoubleWell,
     LdpcBec,
+    ReflectedPotential,
     equal_height_parameter,
     find_stationary_points,
 )
@@ -179,7 +180,7 @@ class TestRelaxation:
         for offset, accepted in offsets:
             y = Profile(grid, 1.0 + 1e-6 * offset, boundary_value=1.0).values
             r = pde._interior_rhs(y, dx, spec.gradient_unchecked, pde.ConstantCoupling(d))
-            u2 = pde._curvature(spec.gradient_unchecked, spec.domain, y[1:-1])
+            u2 = spec.curvature_unchecked(y[1:-1])
             tail = pde._newton_tail(y, r, u2, dx, spec, d, DEFAULT_STEADY_TOL)
             assert (tail is not None) == accepted
 
@@ -353,6 +354,17 @@ class TestClassifyProfile:
         for vals in (wiggled, wiggled[::-1]):
             bumpy = Profile(prof.grid, vals.copy(), boundary_value=y_plus)
             assert classify_profile(bumpy, y_plus) == OTHER
+
+
+class TestNewtonPolish:
+    def test_start_is_clipped_into_the_domain(self):
+        # a relaxation may end a few ulps past a fixed point on the domain
+        # edge (reflected LDPC, y_plus = 0); the polish must not raise there
+        spec = ReflectedPotential(LdpcBec(0.45, 3, 6))
+        grid = Grid(1.0, 101)
+        profile = Profile(grid, np.full(grid.n_points, 1e-14), boundary_value=0.0)
+        assert stationary._newton_polish(profile, spec, 0.005, DEFAULT_STEADY_TOL)
+        assert np.all(profile.values == 0.0)
 
 
 class TestRefineProfile:
