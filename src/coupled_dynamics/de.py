@@ -4,16 +4,16 @@ The recursion y_{t+1} = eps * (1 - (1 - y_t)^(dc-1))^(dv-1) is a descent step
 of the LdpcBec potential: y_{t+1} - y_t = -dU/dy(y_t).  From y_0 = 1 it decays
 to zero exactly when eps is below the BP threshold, which `bp_threshold`
 computes from its fixed-point characterization (a minimum over x in (0, 1],
-the x -> 0 limit 1/(dc - 1) for dv = 2) without running the recursion.
+found as a root of the slope of its log; the x -> 0 limit 1/(dc - 1) for
+dv = 2) without running the recursion.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from .potentials import LdpcBec
+from .potentials import LdpcBec, brent_root
 
 DEFAULT_MAX_ITER = 100_000
 # Grid cells over (0, 1] that bracket the minimizer of the threshold ratio.
@@ -74,10 +74,13 @@ def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
 
     eps_BP = min over x in (0, 1] of x / (1 - (1 - x)^(dc-1))^(dv-1)
     (Richardson & Urbanke, Modern Coding Theory, 2008): below it the map has
-    no fixed point but 0.  The minimum is located on a grid and refined by
-    bounded Brent minimization over the neighbouring cells, with `tol` as the
-    tolerance on the minimizer x.  For dv = 2 the ratio increases in x, so the
-    infimum is its x -> 0 limit 1/(dc - 1).
+    no fixed point but 0.  The minimum is located on a grid; its minimizer is
+    then the root, by `brent_root` to within `tol` in x, of the slope of the
+    log ratio, which has the sign of s(x) = 1 - (1-x)^m - n m x (1-x)^(m-1)
+    (n = dv - 1, m = dc - 1), over the two grid cells around it.  Where s does
+    not change sign there (the grid minimum at x = 1 for dc = 2), the grid
+    value stands.  For dv = 2 the ratio increases in x, so the infimum is its
+    x -> 0 limit 1/(dc - 1).
     """
     if dv < 2 or dc < 2:
         raise ValueError(f"degrees must be >= 2, got dv={dv}, dc={dc}")
@@ -85,12 +88,19 @@ def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
         raise ValueError("tol must be positive")
     if dv == 2:
         return 1.0 / (dc - 1)
+    n, m = dv - 1, dc - 1
 
     def ratio(x):
-        return x / (1.0 - (1.0 - x) ** (dc - 1)) ** (dv - 1)
+        return x / (1.0 - (1.0 - x) ** m) ** n
+
+    def slope(x):
+        return 1.0 - (1.0 - x) ** m - n * m * x * (1.0 - x) ** (m - 1)
 
     xs = np.linspace(0.0, 1.0, _THRESHOLD_GRID + 1)
     i = 1 + int(np.argmin(ratio(xs[1:])))
-    bounds = (xs[i - 1], xs[min(i + 1, _THRESHOLD_GRID)])
-    res = minimize_scalar(ratio, bounds=bounds, method="bounded", options={"xatol": tol})
-    return float(min(res.fun, ratio(xs[i])))
+    a, b = float(xs[i - 1]), float(xs[min(i + 1, _THRESHOLD_GRID)])
+    best = ratio(xs[i])
+    sa, sb = slope(a), slope(b)
+    if sa * sb < 0.0:
+        best = min(ratio(brent_root(slope, a, b, tol, fa=sa, fb=sb)), best)
+    return float(best)

@@ -9,14 +9,17 @@ and the equal-height (Maxwell) parameter of a bistable family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
-from typing import Callable, Sequence
+from functools import lru_cache
+from math import comb, isnan
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 ROOT_TOL = 1e-12
 SCAN_POINTS = 10_000
+# Relative tolerance and iteration cap of brent_root, as in scipy's brentq.
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
 
 
 class DomainError(ValueError):
@@ -211,11 +214,86 @@ class StationaryPointSet:
         return len(self.stable_points) >= 2
 
 
+def brent_root(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    xtol: float,
+    fa: Optional[float] = None,
+    fb: Optional[float] = None,
+) -> float:
+    """Root of f between a and b by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4).
+
+    The loop of scipy's brentq step for step, with rtol = 4 eps and at most
+    100 iterations, so it returns the same float.  fa and fb, when given, are
+    f(a) and f(b), which are then not evaluated again.  An exact zero at an
+    end returns that end.  Ends of the same sign raise BracketingError, a NaN
+    value ValueError, and a run without convergence RuntimeError.
+    """
+
+    def checked(x: float, fx: float) -> float:
+        if isnan(fx):
+            raise ValueError(f"function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre = checked(xpre, float(f(xpre) if fa is None else fa))
+    fcur = checked(xcur, float(f(xcur) if fb is None else fb))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre > 0.0) == (fcur > 0.0):
+        raise BracketingError(f"function has the same sign at both ends of [{a}, {b}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if (fpre > 0.0) != (fcur > 0.0):  # the root is between xpre and xcur
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic step
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # a zero denominator is an infinite step, which never passes
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else None
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisection
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = checked(xcur, float(f(xcur)))
+    raise RuntimeError(
+        f"failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}"
+    )
+
+
+@lru_cache(maxsize=16)
+def _scan_nodes(lo_hex: str, hi_hex: str) -> np.ndarray:
+    """find_stationary_points' read-only scan nodes over one domain.  The ends
+    come as float.hex, so that a -0.0 end keeps its own entry."""
+    ys = np.linspace(float.fromhex(lo_hex), float.fromhex(hi_hex), SCAN_POINTS)
+    ys.flags.writeable = False
+    return ys
+
+
 def find_stationary_points(spec: Potential) -> StationaryPointSet:
-    """Locate all roots of dU/dy by a dense sign scan plus Brent refinement.
+    """Locate all roots of dU/dy by a dense sign scan plus `brent_root`.
 
     Scan nodes where |dU/dy| < ROOT_TOL are roots as they stand; each sign
-    change between neighbouring nodes is refined with Brent's method.  Scan
+    change between neighbouring nodes is refined with `brent_root`.  Scan
     and refinement stay inside the domain, so they use the unchecked
     gradient.  A root is stable (a minimum of U) when dU/dy rises through
     it: across its bracket, or, for a node root, towards its right neighbour
@@ -224,22 +302,23 @@ def find_stationary_points(spec: Potential) -> StationaryPointSet:
     within about 1e-9 of a fold) is not reported.
     """
     lo, hi = spec.domain
-    ys = np.linspace(lo, hi, SCAN_POINTS)
+    ys = _scan_nodes(float(lo).hex(), float(hi).hex())
     g = spec.gradient_unchecked(ys)
     sign = np.sign(g)
 
     # Exact zeros at grid nodes (the LDPC family has one at y = 0), with the
     # direction of dU/dy read off the next node (the previous one at hi).
-    rising = np.append(sign[1:], -sign[-2]) > 0
+    last = SCAN_POINTS - 1
     roots = [
-        (float(ys[i]), bool(rising[i])) for i in np.flatnonzero(np.abs(g) < ROOT_TOL)
+        (float(ys[i]), bool(sign[i + 1] > 0 if i < last else sign[i - 1] < 0))
+        for i in np.flatnonzero(np.abs(g) < ROOT_TOL)
     ]
 
+    def grad(z: float) -> float:
+        return float(spec.gradient_unchecked(z))
+
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        r = brentq(
-            lambda z: float(spec.gradient_unchecked(z)), ys[i], ys[i + 1], xtol=1e-14
-        )
-        roots.append((float(r), bool(sign[i] < 0)))
+        roots.append((brent_root(grad, ys[i], ys[i + 1], 1e-14), bool(sign[i] < 0)))
 
     merged: list[StationaryPoint] = []
     for y, stable in sorted(roots, key=lambda root: root[0]):
@@ -261,7 +340,7 @@ def equal_height_parameter(
 ) -> float:
     """Parameter at which the two outer stable points have equal potential.
 
-    Brent's method on the height difference U(y_minus) - U(y_plus), which is
+    `brent_root` on the height difference U(y_minus) - U(y_plus), which is
     smooth in the parameter (Yedla, Jian, Nguyen & Pfister, 2012), to within
     tol.  The bracket ends may come in either order.  Requires bistability at
     every probed parameter, a sign change across the bracket and tol > 0.
@@ -280,12 +359,4 @@ def equal_height_parameter(
         return float(u_minus - u_plus)
 
     a, b = float(param_interval[0]), float(param_interval[1])
-    # brentq starts by evaluating both ends again; hand it these values.
-    ends = {a: height_diff(a), b: height_diff(b)}
-    if ends[a] * ends[b] > 0.0:
-        raise BracketingError(
-            f"height difference has the same sign at both ends of [{a}, {b}]"
-        )
-    return float(
-        brentq(lambda p: ends[p] if p in ends else height_diff(p), a, b, xtol=tol)
-    )
+    return brent_root(height_diff, a, b, tol, fa=height_diff(a), fb=height_diff(b))

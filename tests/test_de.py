@@ -84,6 +84,29 @@ class TestBpThreshold:
         assert below.converged and below.fixed_point < 1e-9
         assert above.converged and above.fixed_point > 1e-9
 
+    @pytest.mark.parametrize("dv", range(3, 9))
+    def test_matches_bounded_minimization(self, dv):
+        # test-side oracle: scipy's bounded Brent minimization of the ratio,
+        # xatol 1e-13, over the two cells around the argmin of 1e5 cells
+        from scipy.optimize import minimize_scalar
+
+        cells = 100_000
+        xs = np.linspace(0.0, 1.0, cells + 1)
+        for dc in range(2, dv + 16):
+            def ratio(x):
+                return x / (1.0 - (1.0 - x) ** (dc - 1)) ** (dv - 1)
+
+            i = 1 + int(np.argmin(ratio(xs[1:])))
+            res = minimize_scalar(
+                ratio, bounds=(xs[i - 1], xs[min(i + 1, cells)]),
+                method="bounded", options={"xatol": 1e-13},
+            )
+            oracle = min(res.fun, ratio(xs[i]))
+            assert abs(bp_threshold(dv, dc, tol=1e-6) - oracle) < 1e-12
+
+    def test_regular_3_6_value(self):
+        assert abs(bp_threshold(3, 6, tol=1e-6) - 0.42943981441949) < 1e-12
+
     def test_refinement_consistency(self):
         coarse = bp_threshold(3, 6, tol=1e-2)
         fine = bp_threshold(3, 6, tol=1e-5)

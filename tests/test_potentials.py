@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coupled_dynamics import potentials
+from coupled_dynamics.de import bp_threshold
 from coupled_dynamics.potentials import (
     BracketingError,
     DomainError,
     DoubleWell,
     LdpcBec,
     ReflectedPotential,
+    brent_root,
     equal_height_parameter,
     find_stationary_points,
 )
@@ -304,6 +306,76 @@ class TestFindStationaryPoints:
         assert refl.potential(-0.3) == pytest.approx(base.potential(0.3))
 
 
+class TestBrentRoot:
+    """brent_root against scipy's brentq (test-side oracle), to the bit."""
+
+    def test_matches_brentq_on_scan_brackets(self):
+        # the sign-change brackets that find_stationary_points refines
+        from scipy.optimize import brentq
+
+        specs = [DoubleWell(h) for h in np.linspace(-0.3, 0.3, 61)]
+        for eps in (0.3, 0.43, 0.45, 0.5, 0.7):
+            specs += [LdpcBec(eps, 3, 6), ReflectedPotential(LdpcBec(eps, 4, 8))]
+        brackets = 0
+        for spec in specs:
+
+            def grad(z):
+                return float(spec.gradient_unchecked(z))
+
+            ys = np.linspace(*spec.domain, potentials.SCAN_POINTS)
+            sign = np.sign(spec.gradient_unchecked(ys))
+            for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+                a, b = ys[i], ys[i + 1]
+                assert brent_root(grad, a, b, 1e-14) == brentq(grad, a, b, xtol=1e-14)
+                brackets += 1
+        assert brackets > 150
+
+    @pytest.mark.parametrize("dv,dc", [(3, 6), (4, 8), (3, 9), (5, 7), (6, 12)])
+    def test_matches_brentq_on_equal_height_brackets(self, dv, dc):
+        from scipy.optimize import brentq
+
+        def height_diff(eps):
+            spec = LdpcBec(eps, dv, dc)
+            pts = find_stationary_points(spec)
+            return float(spec.potential(pts.y_minus) - spec.potential(pts.y_plus))
+
+        # the bracket of the benchmark's thresholds workload
+        a, b = bp_threshold(dv, dc, tol=1e-6) + 1e-3, dv / dc
+        assert brent_root(height_diff, a, b, 1e-10) == brentq(height_diff, a, b, xtol=1e-10)
+        # end values handed in are used as they stand
+        fa, fb = height_diff(a), height_diff(b)
+        assert brent_root(height_diff, b, a, 1e-10, fa=fb, fb=fa) == brentq(
+            height_diff, b, a, xtol=1e-10
+        )
+
+    def test_exact_zero_at_an_end_returns_it(self):
+        def f(x):
+            return x * x - 1.0
+
+        assert brent_root(f, 1.0, 3.0, 1e-12) == 1.0
+        assert brent_root(f, -3.0, -1.0, 1e-12) == -1.0
+        assert brent_root(f, 0.5, 2.0, 1e-12, fb=0.0) == 2.0
+
+    def test_same_sign_ends_raise_bracketing_error(self):
+        with pytest.raises(BracketingError):
+            brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+        # a ValueError, as scipy's brentq raises
+        assert issubclass(BracketingError, ValueError)
+
+    def test_nan_raises_value_error(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brent_root(lambda x: np.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0, 1e-12)
+
+    def test_iteration_cap_raises_runtime_error(self):
+        # the step at 0 keeps the relative tolerance at zero, so bisection
+        # toward xtol = 1e-300 needs about 1000 halvings, past the cap of 100
+        def step(x):
+            return 1.0 if x >= 0.0 else -1.0
+
+        with pytest.raises(RuntimeError, match="100 iterations"):
+            brent_root(step, -1.0, 1.0, 1e-300)
+
+
 class TestEqualHeightParameter:
     def test_double_well_symmetry(self):
         value = equal_height_parameter(DoubleWell, (-0.1, 0.1))
@@ -349,7 +421,8 @@ class TestEqualHeightParameter:
             equal_height_parameter(DoubleWell, (0.01, 0.1))
 
     def test_bracket_ends_evaluated_once(self, monkeypatch):
-        # the same-sign check's two end values are the ones brentq starts from
+        # both end values are computed once and handed to brent_root, which
+        # does not evaluate them again
         calls = []
 
         def counted(spec):

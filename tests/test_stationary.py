@@ -377,6 +377,37 @@ class TestRefineProfile:
         # the transferred profile only shifts by the discretization error
         assert np.max(np.abs(fine.profile.values[::2] - sol.profile.values)) < 5e-4
 
+    def test_transfer_reproduces_a_cubic(self, monkeypatch):
+        # four-node Lagrange interpolation is exact on cubics, up to the ends
+        # of the source grid, where its stencil is clipped inside
+        monkeypatch.setattr(stationary, "_newton_polish", lambda *args: True)
+
+        def cubic(x):
+            return 0.1 + 0.2 * x**2 + 0.3 * (x**3 - x)
+
+        coarse = Grid(1.0, 101)
+        profile = Profile(coarse, cubic(coarse.x), boundary_value=cubic(1.0))
+        sol = StationarySolution(profile, OTHER, 0.0, 0.0, True, 0.0)
+        fine = refine_profile(sol, DoubleWell(-0.01), 0.01, Grid(1.0, 201))
+        np.testing.assert_allclose(
+            fine.profile.values, cubic(Grid(1.0, 201).x), rtol=0.0, atol=1e-12
+        )
+
+    def test_chain_matches_a_spline_transfer(self, fig2_pot):
+        # the fig-2 chain 201 -> 1601 ends where a cubic-spline transfer
+        # (scipy, test-side oracle) followed by the same polish ends
+        from scipy.interpolate import CubicSpline
+
+        spec, sol = fig2_pot
+        spline = sol.profile
+        for n in (401, 801, 1601):
+            grid = Grid(1.0, n)
+            sol = refine_profile(sol, spec, 0.01, grid)
+            moved = CubicSpline(spline.grid.x, spline.values)(grid.x)
+            spline = Profile(grid, moved, boundary_value=spline.boundary_value)
+            assert stationary._newton_polish(spline, spec, 0.01, DEFAULT_STEADY_TOL)
+        assert np.max(np.abs(sol.profile.values - spline.values)) < 1e-9
+
     def test_rejects_bad_coupling(self, fig2_pot):
         spec, sol = fig2_pot
         with pytest.raises(ValueError):
