@@ -3,20 +3,30 @@ separating pot-shaped from uniform outcomes when the boundary is pinned to a
 metastable point."""
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .pde import Grid
-from .potentials import DoubleWell, find_stationary_points
-from .stationary import OTHER, POT_SHAPED, UNIFORM, solve_stationary
+from .potentials import DoubleWell, brent_root, find_stationary_points
+from .stationary import OTHER, solve_stationary
 
 UNRESOLVED = "Unresolved"
 
 DEFAULT_T_CAP = 1e4
+# Gauss-Legendre nodes per piece of the time-map integral, and the centers
+# sampled in each of the stages that minimize it.
+_TIME_MAP_NODES = 32
+_CENTER_SAMPLES = 16
+_CENTER_STAGES = 4
+# Smallest |h| of a critical_curve bracket end: closer to 0, where U(y_plus) -
+# U(y_minus) is about 2|h|, rounding moves the time map by more than 1e-4.
+_H_FLOOR = 1e-13
 
 
 @dataclass
@@ -83,57 +93,153 @@ def sweep(
     return [_classify_cell(d, h, grid, t_cap) for d, h in cells]
 
 
+def _dw_stable_points(h: float) -> tuple[float, float]:
+    """y_minus and y_plus of DoubleWell(h), 27 h^2 < 4: the outer roots of
+    y^3 - y - h by the trigonometric formula, each finished by a Newton step.
+    They are exact to rounding, which `_pot_time` needs for U'(y_plus) = 0
+    (`find_stationary_points` stops at 1e-14)."""
+    phi = math.acos(1.5 * math.sqrt(3.0) * h) / 3.0
+    roots = []
+    for shift in (4.0 * math.pi / 3.0, 0.0):
+        y = 2.0 / math.sqrt(3.0) * math.cos(phi - shift)
+        roots.append(y - (y * y * y - y - h) / (3.0 * y * y - 1.0))
+    return roots[0], roots[1]
+
+
+def _dw_rest(y, z):
+    """r(y, z) in U(y) - U(z) = (y - z) U'(z) + (y - z)^2 r(y, z), for every
+    DoubleWell; r(z, z) = U''(z) / 2.  Written so that U(y) - U(z) never
+    cancels."""
+    return (y * y + 2.0 * y * z + 3.0 * z * z) / 4.0 - 0.5
+
+
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """_TIME_MAP_NODES Gauss-Legendre nodes and weights on [0, 1], computed on
+    first use: Newton on the three-term recurrence of P_n from the guesses
+    cos(pi (k - 1/4) / (n + 1/2)), which reaches rounding in four steps
+    (Press et al., Numerical Recipes, 3rd ed., 2007, sec. 4.6)."""
+    n = _TIME_MAP_NODES
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(5):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)  # P_n'(x)
+        x = x - p1 / dp
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
+
+
+def _time_piece(alpha, z, p_max, y_of):
+    """int_0^p_max dp / sqrt(2 (alpha + p^2 r(y_of(p), z))) for each row of
+    the column arrays alpha, p_max (and z), by Gauss-Legendre after
+    p = c sinh(t), c = sqrt(alpha / r(z, z)) at most p_max: for small alpha
+    the integrand peaks at p = 0 with width c, and is smooth in t."""
+    t, w = _gauss_legendre()
+    c = np.sqrt(alpha / np.maximum(_dw_rest(z, z), alpha / p_max**2))
+    span = np.arcsinh(p_max / c)
+    tt = span * t
+    p = c * np.sinh(tt)
+    f = np.cosh(tt) / np.sqrt(2.0 * (alpha + p * p * _dw_rest(y_of(p), z)))
+    return (span * c)[:, 0] * (f @ w)
+
+
+def _pot_time(centers: np.ndarray, h: float, y_plus: float) -> np.ndarray:
+    """The time map tau(y_c) = int_{y_c}^{y_plus} dy / sqrt(2 (U(y) - U(y_c)))
+    of DoubleWell(h) at each center y_c, split at the midpoint m.  Below m,
+    y = y_c + p^2, so dy = 2 p dp and U(y) - U(y_c) = p^2 (U'(y_c) + p^2 r);
+    above it, y = y_plus - p and U(y) - U(y_c) = U(y_plus) - U(y_c) + p^2 r,
+    as U'(y_plus) = 0.  Both pieces stay smooth after `_time_piece`'s
+    substitution, also near either end of the admissible centers, where
+    U'(y_c) or U(y_plus) - U(y_c) tends to 0 and tau to infinity."""
+    yc = centers[:, None]
+    mid = 0.5 * (yc + y_plus)
+    lower = _time_piece(yc**3 - yc - h, yc, np.sqrt(mid - yc), lambda p: yc + p * p)
+    upper = _time_piece(
+        -((yc - y_plus) ** 2) * _dw_rest(yc, y_plus),
+        y_plus,
+        y_plus - mid,
+        lambda p: y_plus - p,
+    )
+    return 2.0 * lower + upper
+
+
+def _min_pot_time(h: float) -> float:
+    """min of the time map over the admissible centers (y_minus, y_c*) of
+    DoubleWell(h), -2/(3 sqrt 3) < h < 0, where U(y_c*) = U(y_plus).  Each
+    stage samples _CENTER_SAMPLES centers and keeps the two cells around the
+    smallest; the vertex of the parabola through the last three gives the
+    value."""
+    y_minus, y_plus = _dw_stable_points(h)
+    lo, hi = y_minus, math.sqrt(2.0 * (1.0 - y_plus * y_plus)) - y_plus
+    for _ in range(_CENTER_STAGES):
+        yc = np.linspace(lo, hi, _CENTER_SAMPLES + 2)
+        tau = _pot_time(yc[1:-1], h, y_plus)
+        i = int(np.argmin(tau))
+        lo, hi = yc[i], yc[i + 2]
+    if 0 < i < _CENTER_SAMPLES - 1:
+        t0, t1, t2 = tau[i - 1 : i + 2]
+        curv = t0 - 2.0 * t1 + t2
+        if curv > 0.0:
+            return float(t1 - (t2 - t0) ** 2 / (8.0 * curv))
+    return float(tau[i])
+
+
 def critical_curve(
     d_values: Sequence[float],
     h_bracket: tuple[float, float] = (-0.3, -1e-3),
     tol: float = 1e-4,
     grid: Optional[Grid] = None,
-    t_cap: float = DEFAULT_T_CAP,
 ) -> list[CurvePoint]:
-    """Bisect the Uniform/PotShaped boundary in the DoubleWell tilt h for each
-    coupling value.
+    """Critical tilt h_crit(d) of DoubleWell(h) for each coupling: the fold
+    where the continuum pot branch of the problem pinned at y_plus ends.
 
-    The bracket endpoints must classify differently; couplings where they do
-    not (or where a probe stays unresolved) are reported with an error and
-    the remaining couplings continue.  tol must be positive: bisection stalls
-    once the bracket ends are adjacent floats.
+    A symmetric pot with center y_c exists iff x_max = sqrt(d) tau(y_c), tau
+    the time map (Smoller & Wasserman, J. Differential Equations 39, 1981;
+    Schaaf, LNM 1458, 1990).  tau grows without bound at both ends of the
+    admissible centers, so pots exist iff sqrt(d) min tau <= x_max, which
+    holds for h below h_crit.  h_crit is the root of sqrt(d) min tau(h) /
+    x_max - 1, found by `brent_root` in log(-h); no relaxation runs.
+
+    grid: only its x_max is used (1 when None).  h_crit is the continuum
+    fold, which lies O(dx^2) from the fold of the n-point relaxation that
+    `sweep` labels with.
+    h_bracket: the search interval, ends in either order, both in
+    (-2/(3 sqrt 3), -_H_FLOOR], where DoubleWell(h) is bistable, can hold a
+    pot and its time map is resolved.
+    A coupling whose bracket ends lie outside it, or hold pots at both or at
+    neither, gets a CurvePoint with an error and h_crit NaN; the remaining
+    couplings continue.
+    tol: absolute tolerance on h_crit, positive.  The root in log(-h) is
+    found to tol / max|h_bracket|, so a fold much smaller than the bracket
+    is also found to a relative accuracy of about that.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    x_max = 1.0 if grid is None else grid.x_max
+    h_lo, h_hi = sorted(float(h) for h in h_bracket)
+    for h in (h_lo, h_hi):
+        if not (h <= -_H_FLOOR and 27.0 * h * h < 4.0):
+            error = (f"h_bracket end {h} outside (-2/(3 sqrt 3), -{_H_FLOOR:g}],"
+                     " where DoubleWell(h) is bistable, can hold a pot and its"
+                     " time map is resolved")
+            return [CurvePoint(float(d), float("nan"), error) for d in d_values]
+    u_lo, u_hi = math.log(-h_hi), math.log(-h_lo)
+    tau_lo, tau_hi = _min_pot_time(h_hi), _min_pot_time(h_lo)
     curve: list[CurvePoint] = []
     for d in d_values:
-        d = float(d)
-        cls_a = _classify_cell(d, h_bracket[0], grid, t_cap).classification
-        cls_b = _classify_cell(d, h_bracket[1], grid, t_cap).classification
-        if cls_a == cls_b or UNRESOLVED in (cls_a, cls_b) or None in (cls_a, cls_b):
-            curve.append(
-                CurvePoint(
-                    d=d,
-                    h_crit=float("nan"),
-                    error=f"no classification change across bracket ({cls_a}, {cls_b})",
-                )
-            )
+        if d <= 0:
+            raise ValueError(f"coupling constant must be positive, got {d}")
+        scale = math.sqrt(float(d)) / x_max
+        f_lo, f_hi = scale * tau_lo - 1.0, scale * tau_hi - 1.0
+        if (f_lo < 0.0) == (f_hi < 0.0):
+            where = "both ends" if f_lo < 0.0 else "neither end"
+            error = f"no fold in h_bracket: the pot branch exists at {where}"
+            curve.append(CurvePoint(float(d), float("nan"), error))
             continue
-        h_pot = h_bracket[0] if cls_a == POT_SHAPED else h_bracket[1]
-        h_uni = h_bracket[1] if cls_a == POT_SHAPED else h_bracket[0]
-        failed = False
-        while abs(h_pot - h_uni) > tol:
-            mid = 0.5 * (h_pot + h_uni)
-            cls_m = _classify_cell(d, mid, grid, t_cap).classification
-            if cls_m == POT_SHAPED:
-                h_pot = mid
-            elif cls_m == UNIFORM:
-                h_uni = mid
-            else:
-                curve.append(
-                    CurvePoint(
-                        d=d,
-                        h_crit=float("nan"),
-                        error=f"unresolved cell at h={mid} during bisection",
-                    )
-                )
-                failed = True
-                break
-        if not failed:
-            curve.append(CurvePoint(d=d, h_crit=0.5 * (h_pot + h_uni)))
+        u = brent_root(
+            lambda u: scale * _min_pot_time(-math.exp(u)) - 1.0,
+            u_lo, u_hi, tol / -h_lo, fa=f_lo, fb=f_hi,
+        )
+        curve.append(CurvePoint(float(d), -math.exp(u)))
     return curve

@@ -225,7 +225,6 @@ def cmd_bifurcation(args: argparse.Namespace) -> int:
             h_bracket=(bracket[0], bracket[1]),
             tol=float(p["tol"]),
             grid=grid,
-            t_cap=float(p["t_cap"]),
         )
         for pt in curve:
             print(f"d={_fmt(pt.d)} h_crit={_fmt(pt.h_crit)}"

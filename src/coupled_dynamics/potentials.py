@@ -318,7 +318,8 @@ def find_stationary_points(spec: Potential) -> StationaryPointSet:
         return float(spec.gradient_unchecked(z))
 
     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        roots.append((brent_root(grad, ys[i], ys[i + 1], 1e-14), bool(sign[i] < 0)))
+        root = brent_root(grad, ys[i], ys[i + 1], 1e-14, fa=g[i], fb=g[i + 1])
+        roots.append((root, bool(sign[i] < 0)))
 
     merged: list[StationaryPoint] = []
     for y, stable in sorted(roots, key=lambda root: root[0]):

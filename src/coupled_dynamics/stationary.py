@@ -35,8 +35,10 @@ from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_
 POT_TOL = 1e-3
 SLOPE_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
-# Nodes in theta of `quadrature_reconstruct`'s cosine-substituted quadrature.
+# Nodes in theta of `quadrature_reconstruct`'s cosine-substituted quadrature,
+# and its slope-zero clamp, relative to the largest |U + C| on the range.
 _QUAD_NODES = 8001
+_CLAMP_REL = 1e-3
 
 UNIFORM = "Uniform"
 POT_SHAPED = "PotShaped"
@@ -325,23 +327,26 @@ def quadrature_reconstruct(
         raise ValueError("y_at_origin must not exceed the boundary value")
 
     # A center value measured from a computed profile carries discretization
-    # error in C; treat |U + C| below this scale as the slope-zero (smooth) case.
-    clamp_tol = 1e-3
-    u0 = float(spec.potential(y_at_origin))
-    g0 = u0 + c_const
+    # error in C, so |U + C| at the center below _CLAMP_REL of its largest
+    # value over the range is the slope-zero (smooth) case.  At a heteroclinic
+    # end (C = -U(y_b), center between the barrier and y_b) U + C is largest
+    # at the center, so it is never clamped.
+    probe = np.linspace(y_at_origin, y_b, 4001)
+    u_probe = np.asarray(spec.potential(probe))
+    g0 = u_probe[0] + c_const
+    clamp_tol = _CLAMP_REL * float(np.max(np.abs(u_probe + c_const)))
     if g0 < -clamp_tol:
         raise ReconstructionInfeasibleError(
             f"U + C = {g0:.3g} < 0 at the center value"
         )
-    c_eff = -u0 if abs(g0) <= clamp_tol else c_const
+    c_eff = -u_probe[0] if abs(g0) <= clamp_tol else c_const
 
     def g_eff(y):
         return np.asarray(spec.potential(y)) + c_eff
 
-    probe = np.linspace(y_at_origin, y_b, 4001)[1:-1]
-    gp = g_eff(probe)
+    gp = u_probe[1:-1] + c_eff
     if np.any(gp <= 0.0):
-        bad = float(probe[np.argmin(gp)])
+        bad = float(probe[1:-1][np.argmin(gp)])
         raise ReconstructionInfeasibleError(
             f"U + C <= 0 at y = {bad:.6g} strictly inside ({y_at_origin:.6g},"
             f" {y_b:.6g}); no monotone stationary branch exists"

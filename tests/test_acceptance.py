@@ -189,7 +189,7 @@ def test_criterion_09_bifurcation_curve_qualitative():
     assert cells[1].classification == UNIFORM
     # resolvable part of the curve: -h_crit grows with the coupling constant
     curve = critical_curve(
-        [0.05, 0.1], h_bracket=(-0.3, -1e-3), tol=1e-3, grid=grid, t_cap=1e4
+        [0.05, 0.1], h_bracket=(-0.3, -1e-3), tol=1e-3, grid=grid
     )
     assert all(pt.error is None for pt in curve)
     neg_h = [-pt.h_crit for pt in curve]

@@ -342,6 +342,23 @@ class TestQuadratureReconstruct:
                 assert np.all(np.diff(half) >= 0.0)
                 assert half[-1] <= y_plus
 
+    @pytest.mark.parametrize("eps", [0.45, 0.5, 0.55])
+    def test_heteroclinic_end_on_a_low_barrier(self, eps):
+        # reflected LDPC barriers are a few 1e-3 high, so U + C at the center
+        # is small in absolute terms but is the largest value on the range:
+        # it must not be clamped to the slope-zero case
+        spec = ReflectedPotential(LdpcBec(eps, 3, 6))
+        pts = find_stationary_points(spec)
+        y_u, y_plus = pts.unstable_points[0], pts.y_plus
+        c = -spec.potential(y_plus)
+        for f in np.linspace(0.05, 0.95, 19):
+            y_c = y_u + f * (y_plus - y_u)
+            prof = quadrature_reconstruct(spec, 0.01, c, y_c, grid=Grid(1.0, 201))
+            half = prof.values[100:]
+            assert half[0] == y_c
+            assert np.all(np.diff(half) >= 0.0)
+            assert half[-1] <= y_plus
+
 
 class TestClassifyProfile:
     def test_both_halves_must_be_monotone(self, fig2_pot):
