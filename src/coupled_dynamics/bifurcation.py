@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pde import Grid
+from .pde import Grid, check_coupling
 from .potentials import DoubleWell, brent_root, find_stationary_points
 from .stationary import OTHER, solve_stationary
 
@@ -199,7 +199,9 @@ def critical_curve(
     Schaaf, LNM 1458, 1990).  tau grows without bound at both ends of the
     admissible centers, so pots exist iff sqrt(d) min tau <= x_max, which
     holds for h below h_crit.  h_crit is the root of sqrt(d) min tau(h) /
-    x_max - 1, found by `brent_root` in log(-h); no relaxation runs.
+    x_max - 1, found by `brent_root` in log(-h); no relaxation runs.  Every
+    d must be positive and finite (ValueError, raised before any time-map
+    work).
 
     grid: only its x_max is used (1 when None).  h_crit is the continuum
     fold, which lies O(dx^2) from the fold of the n-point relaxation that
@@ -216,6 +218,9 @@ def critical_curve(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    d_values = [float(d) for d in d_values]
+    for d in d_values:
+        check_coupling(d)
     x_max = 1.0 if grid is None else grid.x_max
     h_lo, h_hi = sorted(float(h) for h in h_bracket)
     for h in (h_lo, h_hi):
@@ -223,23 +228,21 @@ def critical_curve(
             error = (f"h_bracket end {h} outside (-2/(3 sqrt 3), -{_H_FLOOR:g}],"
                      " where DoubleWell(h) is bistable, can hold a pot and its"
                      " time map is resolved")
-            return [CurvePoint(float(d), float("nan"), error) for d in d_values]
+            return [CurvePoint(d, float("nan"), error) for d in d_values]
     u_lo, u_hi = math.log(-h_hi), math.log(-h_lo)
     tau_lo, tau_hi = _min_pot_time(h_hi), _min_pot_time(h_lo)
     curve: list[CurvePoint] = []
     for d in d_values:
-        if d <= 0:
-            raise ValueError(f"coupling constant must be positive, got {d}")
-        scale = math.sqrt(float(d)) / x_max
+        scale = math.sqrt(d) / x_max
         f_lo, f_hi = scale * tau_lo - 1.0, scale * tau_hi - 1.0
         if (f_lo < 0.0) == (f_hi < 0.0):
             where = "both ends" if f_lo < 0.0 else "neither end"
             error = f"no fold in h_bracket: the pot branch exists at {where}"
-            curve.append(CurvePoint(float(d), float("nan"), error))
+            curve.append(CurvePoint(d, float("nan"), error))
             continue
         u = brent_root(
             lambda u: scale * _min_pot_time(-math.exp(u)) - 1.0,
             u_lo, u_hi, tol / -h_lo, fa=f_lo, fb=f_hi,
         )
-        curve.append(CurvePoint(float(d), -math.exp(u)))
+        curve.append(CurvePoint(d, -math.exp(u)))
     return curve

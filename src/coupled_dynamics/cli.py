@@ -123,8 +123,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         args,
         {**_SPEC_DEFAULTS, "y0": "minus", "t_end": 2e4, "steady_tol": 1e-9, "snapshots": 100},
     )
-    if float(p["d"]) <= 0:
-        raise ValueError(f"coupling constant must be positive, got {p['d']}")
+    pde.check_coupling(float(p["d"]))
     spec = _make_spec(p)
     grid = pde.Grid(float(p["xmax"]), int(p["n"]))
     pts = potentials.find_stationary_points(spec)

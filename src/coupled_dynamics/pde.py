@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
-from scipy.linalg.lapack import dgtsv
 
 from .potentials import Potential, find_stationary_points
 
@@ -110,13 +108,18 @@ class Coupling:
             raise ValueError("coupling function must be positive over the domain")
 
 
+def check_coupling(d: float) -> None:
+    """Raise ValueError unless the coupling constant d is positive and finite."""
+    if not 0.0 < d < math.inf:
+        raise ValueError(f"coupling constant must be positive and finite, got {d}")
+
+
 @dataclass(frozen=True)
 class ConstantCoupling(Coupling):
     d: float
 
     def __post_init__(self):
-        if self.d <= 0:
-            raise ValueError(f"coupling constant must be positive, got {self.d}")
+        check_coupling(self.d)
 
     def diffusivity(self, y):
         return np.full_like(np.asarray(y, dtype=float), self.d)
@@ -288,13 +291,15 @@ def _newton_tail(
     falls below steady_tol at a stable fixed point (lambda_1, the smallest
     eigenvalue of -J there, > 0) reached by a correction of one sign (to
     1e-12), as the Perron-mode tail of a monotone flow is; else None."""
+    from . import _lapack
+
     gradient = spec.gradient_unchecked
     coupling = ConstantCoupling(d)
     k = d / dx**2
     off = np.full(len(y) - 3, -k)
     z = y.copy()
     for _ in range(3):
-        delta, info = dgtsv(off, 2.0 * k + u2, off, r)[3:]
+        delta, info = _lapack.dgtsv(off, 2.0 * k + u2, off, r)[3:]
         if info != 0:
             return None
         z[1:-1] += delta
@@ -309,7 +314,9 @@ def _newton_tail(
     if min(float(move.max()), -float(move.min())) > 1e-12:
         return None
     lam1 = float(
-        eigvalsh_tridiagonal(2.0 * k + u2, off, select="i", select_range=(0, 0))[0]
+        _lapack.eigvalsh_tridiagonal(
+            2.0 * k + u2, off, select="i", select_range=(0, 0)
+        )[0]
     )
     return (z[1:-1], residual, lam1) if lam1 > 0.0 else None
 
@@ -344,6 +351,8 @@ def _relax(
     (final profile, max|r|, t).  Its fixed points are exactly those of the
     3-point stencil.
     """
+    from . import _lapack
+
     work = profile0.copy()
     y = work.values
     trial = y.copy()
@@ -379,7 +388,7 @@ def _relax(
         step = t_end - t if last else tau
         off = step * neg_k
         # The four flags let dgtsv overwrite these fresh arrays in place.
-        delta, info = dgtsv(
+        delta, info = _lapack.dgtsv(
             off, 1.0 + step * diag, off.copy(), step * r, True, True, True, True
         )[3:]
         # A singular matrix counts as a non-finite trial.
@@ -416,8 +425,10 @@ def simulate_discrete_chain(
     """
     if n_copies < 3 or n_copies % 2 == 0:
         raise ValueError("n_copies must be an odd integer >= 3")
-    if coupling_strength < 0:
-        raise ValueError("coupling_strength must be >= 0")
+    if not 0.0 <= coupling_strength < math.inf:
+        raise ValueError(
+            f"coupling constant must be non-negative and finite, got {coupling_strength}"
+        )
     n_half = (n_copies - 1) // 2
     delta = 1.0 / n_half
     y_plus = find_stationary_points(spec).y_plus

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .pde import (
     DEFAULT_STEADY_TOL,
@@ -29,6 +28,7 @@ from .pde import (
     Grid,
     Profile,
     _relax,
+    check_coupling,
 )
 from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_points
 
@@ -154,6 +154,8 @@ def _newton_polish(
     when the residual falls below tol.  The start, like every trial, is
     clipped into the domain: a relaxation that ends on a fixed point at the
     domain edge may overshoot it by a few ulps."""
+    from . import _lapack
+
     y = profile.values
     dx = profile.grid.dx
     lo, hi = spec.domain
@@ -164,7 +166,7 @@ def _newton_polish(
         if norm < tol:
             return True
         try:
-            step = solve_banded((1, 1), jac, -res)
+            step = _lapack.solve_banded((1, 1), jac, -res)
         except np.linalg.LinAlgError:
             return False
         lam = 1.0
@@ -208,8 +210,7 @@ def solve_stationary(
     the polish converged; otherwise the classification is Other.  The grid
     needs at least 5 nodes, the floor of the fourth-order slopes.
     """
-    if d <= 0:
-        raise ValueError(f"coupling constant must be positive, got {d}")
+    check_coupling(d)
     if grid is None:
         grid = Grid(1.0, 201)
     _require_slope_nodes(grid.n_points)
@@ -247,8 +248,7 @@ def refine_profile(
     anew on fine grids; `residual` is the Numerov residual.  Intended
     for grid-convergence studies.
     """
-    if d <= 0:
-        raise ValueError(f"coupling constant must be positive, got {d}")
+    check_coupling(d)
     _require_slope_nodes(grid.n_points)
     src = solution.profile
     y = src.values
@@ -316,8 +316,7 @@ def quadrature_reconstruct(
     the range, which is exactly the obstruction ruling out pot shapes when
     the boundary point is the unique global minimum.
     """
-    if d <= 0:
-        raise ValueError(f"coupling constant must be positive, got {d}")
+    check_coupling(d)
     if grid is None:
         grid = Grid(1.0, 201)
     y_b = find_stationary_points(spec).y_plus

@@ -157,6 +157,15 @@ class TestCriticalCurve:
         with pytest.raises(ValueError, match="coupling constant must be positive"):
             critical_curve([d])
 
+    @pytest.mark.parametrize("d", [np.nan, np.inf])
+    def test_non_finite_coupling_rejected_before_time_map(self, d, monkeypatch):
+        def no_time_map(h):
+            raise AssertionError("time map evaluated before the couplings were checked")
+
+        monkeypatch.setattr(bifurcation, "_min_pot_time", no_time_map)
+        with pytest.raises(ValueError, match="coupling constant must be positive"):
+            critical_curve([0.05, d])
+
     @pytest.mark.parametrize("bracket", [(-0.5, -0.01), (-0.3, 0.0), (-0.3, -1e-14)])
     def test_bracket_outside_resolved_range_reported(self, bracket):
         curve = critical_curve([0.05, 0.1], h_bracket=bracket)

@@ -279,3 +279,8 @@ class TestDiscreteChain:
         final = simulate_discrete_chain(11, spec, 0.0, pts.y_minus, t_end=500.0)
         assert np.allclose(final[1:-1], pts.y_minus, atol=1e-6)
         assert final[0] == pts.y_plus and final[-1] == pts.y_plus
+
+    @pytest.mark.parametrize("d", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_coupling(self, d):
+        with pytest.raises(ValueError, match="coupling constant must be non-negative"):
+            simulate_discrete_chain(11, DoubleWell(0.01), d, -1.0, t_end=10.0)

@@ -64,6 +64,11 @@ class TestSolveStationary:
         with pytest.raises(ValueError):
             solve_stationary(DoubleWell(0.01), -1.0)
 
+    @pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coupling(self, d):
+        with pytest.raises(ValueError, match="coupling constant must be positive"):
+            solve_stationary(DoubleWell(-0.01), d, grid=Grid(1.0, 101))
+
     def test_coarse_grid_relaxes(self):
         # dx = 0.5: an explicit step at 0.4 dx^2/D = 10 is far past 2/max|U''|
         sol = solve_stationary(DoubleWell(-0.01), 0.01, grid=Grid(1.0, 5))
