@@ -93,19 +93,6 @@ def sweep(
     return [_classify_cell(d, h, grid, t_cap) for d, h in cells]
 
 
-def _dw_stable_points(h: float) -> tuple[float, float]:
-    """y_minus and y_plus of DoubleWell(h), 27 h^2 < 4: the outer roots of
-    y^3 - y - h by the trigonometric formula, each finished by a Newton step.
-    They are exact to rounding, which `_pot_time` needs for U'(y_plus) = 0
-    (`find_stationary_points` stops at 1e-14)."""
-    phi = math.acos(1.5 * math.sqrt(3.0) * h) / 3.0
-    roots = []
-    for shift in (4.0 * math.pi / 3.0, 0.0):
-        y = 2.0 / math.sqrt(3.0) * math.cos(phi - shift)
-        roots.append(y - (y * y * y - y - h) / (3.0 * y * y - 1.0))
-    return roots[0], roots[1]
-
-
 def _dw_rest(y, z):
     """r(y, z) in U(y) - U(z) = (y - z) U'(z) + (y - z)^2 r(y, z), for every
     DoubleWell; r(z, z) = U''(z) / 2.  Written so that U(y) - U(z) never
@@ -170,7 +157,8 @@ def _min_pot_time(h: float) -> float:
     stage samples _CENTER_SAMPLES centers and keeps the two cells around the
     smallest; the vertex of the parabola through the last three gives the
     value."""
-    y_minus, y_plus = _dw_stable_points(h)
+    roots = DoubleWell(h).stationary_roots()
+    y_minus, y_plus = roots[0][0], roots[-1][0]
     lo, hi = y_minus, math.sqrt(2.0 * (1.0 - y_plus * y_plus)) - y_plus
     for _ in range(_CENTER_STAGES):
         yc = np.linspace(lo, hi, _CENTER_SAMPLES + 2)
@@ -216,7 +204,7 @@ def critical_curve(
     found to tol / max|h_bracket|, so a fold much smaller than the bracket
     is also found to a relative accuracy of about that.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     d_values = [float(d) for d in d_values]
     for d in d_values:

@@ -203,7 +203,7 @@ def cmd_bifurcation(args: argparse.Namespace) -> int:
     d_default, h_default = bif.default_sweep_box()
     d_values = _floats(p["d"]) if "d" in p else list(d_default)
     h_values = _floats(p["h"]) if "h" in p else list(h_default)
-    if p.get("curve") and float(p["tol"]) <= 0:
+    if p.get("curve") and not float(p["tol"]) > 0:
         raise ValueError("tol must be positive")
     cells = bif.sweep(
         d_values, h_values, grid=grid, t_cap=float(p["t_cap"]), jobs=int(p["jobs"])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import LdpcBec, brent_root
+from .potentials import LdpcBec, brent_root, ldpc_slope
 
 DEFAULT_MAX_ITER = 100_000
 # Grid cells over (0, 1] that bracket the minimizer of the threshold ratio.
@@ -76,15 +76,15 @@ def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
     (Richardson & Urbanke, Modern Coding Theory, 2008): below it the map has
     no fixed point but 0.  The minimum is located on a grid; its minimizer is
     then the root, by `brent_root` to within `tol` in x, of the slope of the
-    log ratio, which has the sign of s(x) = 1 - (1-x)^m - n m x (1-x)^(m-1)
-    (n = dv - 1, m = dc - 1), over the two grid cells around it.  Where s does
-    not change sign there (the grid minimum at x = 1 for dc = 2), the grid
-    value stands.  For dv = 2 the ratio increases in x, so the infimum is its
-    x -> 0 limit 1/(dc - 1).
+    log ratio, which has the sign of `ldpc_slope` s(x) = 1 - (1-x)^m -
+    n m x (1-x)^(m-1) (n = dv - 1, m = dc - 1), over the two grid cells
+    around it.  Where s does not change sign there (the grid minimum at
+    x = 1 for dc = 2), the grid value stands.  For dv = 2 the ratio
+    increases in x, so the infimum is its x -> 0 limit 1/(dc - 1).
     """
     if dv < 2 or dc < 2:
         raise ValueError(f"degrees must be >= 2, got dv={dv}, dc={dc}")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if dv == 2:
         return 1.0 / (dc - 1)
@@ -94,7 +94,7 @@ def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
         return x / (1.0 - (1.0 - x) ** m) ** n
 
     def slope(x):
-        return 1.0 - (1.0 - x) ** m - n * m * x * (1.0 - x) ** (m - 1)
+        return ldpc_slope(x, n, m)
 
     xs = np.linspace(0.0, 1.0, _THRESHOLD_GRID + 1)
     i = 1 + int(np.argmin(ratio(xs[1:])))

@@ -51,8 +51,8 @@ class Grid:
     n_points: int = 201
 
     def __post_init__(self):
-        if self.x_max <= 0:
-            raise ValueError("x_max must be positive")
+        if not 0 < self.x_max < np.inf:
+            raise ValueError("x_max must be positive and finite")
         if self.n_points < 3 or self.n_points % 2 == 0:
             raise ValueError("n_points must be an odd integer >= 3")
 

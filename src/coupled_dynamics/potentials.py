@@ -2,21 +2,23 @@
 
 Two families are provided: a tilted double-well polynomial and the potential
 whose gradient reproduces the density-evolution recursion of regular LDPC
-ensembles over the binary erasure channel.  Both expose the potential, its
-first two derivatives in closed form, root finding for the stationary points,
-and the equal-height (Maxwell) parameter of a bistable family.
+ensembles over the binary erasure channel, plus the mirror image of either.
+Each exposes the potential and its first two derivatives in closed form, and
+its stationary points from its own structure: the roots of a cubic, level
+crossings of a unimodal ratio, or the mirrored roots of the base.  The module
+also finds the equal-height (Maxwell) parameter of a bistable family.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, isnan
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-ROOT_TOL = 1e-12
-SCAN_POINTS = 10_000
+# xtol of the brent_root solves that place stationary points.
+_ROOT_XTOL = 1e-14
 # Relative tolerance and iteration cap of brent_root, as in scipy's brentq.
 _BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 _BRENT_MAXITER = 100
@@ -78,6 +80,12 @@ class Potential:
         the relaxation and Newton solvers."""
         raise NotImplementedError
 
+    def stationary_roots(self) -> list[tuple[float, bool]]:
+        """Every isolated real root y of dU/dy as a (y, stable) pair, stable
+        where U has a local minimum; `find_stationary_points` keeps those in
+        the domain."""
+        raise NotImplementedError
+
 
 def _maybe_scalar(arr, template):
     if np.isscalar(template) or np.ndim(template) == 0:
@@ -110,6 +118,23 @@ class DoubleWell(Potential):
     def curvature_unchecked(self, arr):
         return 3.0 * arr * arr - 1.0
 
+    def stationary_roots(self):
+        """Roots of y^3 - y - h, each finished by one Newton step: for
+        27 h^2 < 4 the three of the trigonometric formula, the outer two
+        stable; otherwise the one simple root, stable, from the hyperbolic
+        formula (at the fold 27 h^2 = 4 the double root is not reported)."""
+        h = self.h
+        c = 1.5 * math.sqrt(3.0) * h
+        if abs(c) >= 1.0:
+            y = 2.0 / math.sqrt(3.0) * math.cosh(math.acosh(abs(c)) / 3.0)
+            ys, stable = [math.copysign(y, h)], [True]
+        else:
+            phi = math.acos(c) / 3.0
+            shifts = (4.0 * math.pi / 3.0, 2.0 * math.pi / 3.0, 0.0)
+            ys = [2.0 / math.sqrt(3.0) * math.cos(phi - shift) for shift in shifts]
+            stable = [True, False, True]
+        return [(y - (y * y * y - y - h) / (3.0 * y * y - 1.0), s) for y, s in zip(ys, stable)]
+
 
 @dataclass(frozen=True)
 class LdpcBec(Potential):
@@ -139,7 +164,7 @@ class LdpcBec(Potential):
         one_minus = 1.0 - arr
         for k in range(n + 1):
             p = m * k + 1
-            acc += comb(n, k) * (-1.0) ** k * (1.0 - one_minus**p) / p
+            acc += math.comb(n, k) * (-1.0) ** k * (1.0 - one_minus**p) / p
         return _maybe_scalar(arr**2 / 2.0 - self.epsilon * acc, y)
 
     def gradient(self, y):
@@ -152,6 +177,64 @@ class LdpcBec(Potential):
         n, m = self.dv - 1, self.dc - 1
         t = 1.0 - arr
         return 1.0 - self.epsilon * n * m * (1.0 - t**m) ** (n - 1) * t ** (m - 1)
+
+    def stationary_roots(self):
+        """y = 0, and the level crossings eps(x) = epsilon in (0, 1] of
+        eps(x) = x / g(x)^n, g(x) = 1 - (1-x)^m, n = dv - 1, m = dc - 1
+        (Richardson & Urbanke, Modern Coding Theory, 2008), where dU/dy =
+        x - epsilon g(x)^n changes sign.
+
+        For n, m >= 2, eps(x) falls from +inf to its minimum at x_BP, the one
+        root of `ldpc_slope` in (0, 1), then rises to eps(1) = 1.  Below the
+        minimum 0 is the only root; above it an unstable root lies in
+        [a, x_BP], where g(x) <= m x makes dU/dy(a) > 0, and a stable one in
+        [x_BP, 1], exactly 1 at epsilon = 1.  For n = 1 dU/dy is convex with
+        slope 1 - epsilon m at 0: 0 is stable if that slope is >= 0, else
+        unstable with a stable root past the minimum of dU/dy.  For m = 1
+        dU/dy = x - epsilon x^n, whose only root but 0 is 1 at epsilon = 1;
+        n = m = 1 with epsilon = 1 (dU/dy = 0 everywhere) is a ValueError.
+        """
+        n, m, eps = self.dv - 1, self.dc - 1, self.epsilon
+        grad = self.gradient_unchecked  # on floats here
+        if m == 1:
+            if eps < 1.0:
+                return [(0.0, True)]
+            if n == 1:
+                raise ValueError("dU/dy vanishes identically for dv = dc = 2, epsilon = 1")
+            return [(0.0, True), (1.0, False)]
+        if n == 1:
+            if eps * m <= 1.0:
+                return [(0.0, True)]
+            lo = 1.0 - (eps * m) ** (-1.0 / (m - 1))  # the minimum of dU/dy
+            return [(0.0, False), (brent_root(grad, lo, 1.0, _ROOT_XTOL), True)]
+        x_bp = _ldpc_x_bp(n, m)
+        g_bp = grad(x_bp)
+        if not g_bp < 0.0:
+            return [(0.0, True)]
+        a = min(0.5 * (eps * m**n) ** (-1.0 / (n - 1)), 0.5 * x_bp)
+        return [
+            (0.0, True),
+            (brent_root(grad, a, x_bp, _ROOT_XTOL, fb=g_bp), False),
+            (brent_root(grad, x_bp, 1.0, _ROOT_XTOL, fa=g_bp), True),
+        ]
+
+
+def ldpc_slope(x, n: int, m: int):
+    """s(x) = 1 - (1-x)^m - n m x (1-x)^(m-1), which has the sign of the
+    slope of log(x / g(x)^n), g(x) = 1 - (1-x)^m (n = dv - 1, m = dc - 1).
+
+    For n, m >= 2 it has exactly one root in (0, 1): in t = 1 - x its
+    derivative m t^(m-2) ((nm - 1) t - n (m - 1)) changes sign once, at
+    x = (n - 1)/(nm - 1), while s(x) -> 0- as x -> 0 and s(1) = 1.
+    """
+    return 1.0 - (1.0 - x) ** m - n * m * x * (1.0 - x) ** (m - 1)
+
+
+@lru_cache(maxsize=128)
+def _ldpc_x_bp(n: int, m: int) -> float:
+    """The root x_BP of `ldpc_slope` in ((n - 1)/(nm - 1), 1), n, m >= 2: the
+    minimizer of x / g(x)^n."""
+    return brent_root(lambda x: ldpc_slope(x, n, m), (n - 1) / (n * m - 1), 1.0, _ROOT_XTOL)
 
 
 @dataclass(frozen=True)
@@ -179,6 +262,9 @@ class ReflectedPotential(Potential):
     def curvature_unchecked(self, arr):
         return self.base.curvature_unchecked(-arr)
 
+    def stationary_roots(self):
+        return [(-y, stable) for y, stable in reversed(self.base.stationary_roots())]
+
 
 @dataclass(frozen=True)
 class StationaryPoint:
@@ -188,8 +274,8 @@ class StationaryPoint:
 
 @dataclass(frozen=True)
 class StationaryPointSet:
-    """Sorted roots of dU/dy on the domain, each classified stable or not by
-    the direction in which dU/dy changes sign there."""
+    """Sorted roots of dU/dy on the domain, each marked stable (a minimum of
+    U) or unstable."""
 
     points: tuple[StationaryPoint, ...]
 
@@ -233,7 +319,7 @@ def brent_root(
     """
 
     def checked(x: float, fx: float) -> float:
-        if isnan(fx):
+        if math.isnan(fx):
             raise ValueError(f"function value at x={x} is NaN")
         return fx
 
@@ -280,58 +366,19 @@ def brent_root(
     )
 
 
-@lru_cache(maxsize=16)
-def _scan_nodes(lo_hex: str, hi_hex: str) -> np.ndarray:
-    """find_stationary_points' read-only scan nodes over one domain.  The ends
-    come as float.hex, so that a -0.0 end keeps its own entry."""
-    ys = np.linspace(float.fromhex(lo_hex), float.fromhex(hi_hex), SCAN_POINTS)
-    ys.flags.writeable = False
-    return ys
-
-
 def find_stationary_points(spec: Potential) -> StationaryPointSet:
-    """Locate all roots of dU/dy by a dense sign scan plus `brent_root`.
-
-    Scan nodes where |dU/dy| < ROOT_TOL are roots as they stand; each sign
-    change between neighbouring nodes is refined with `brent_root`.  Scan
-    and refinement stay inside the domain, so they use the unchecked
-    gradient.  A root is stable (a minimum of U) when dU/dy rises through
-    it: across its bracket, or, for a node root, towards its right neighbour
-    (away from its left one at the right end of the domain).  A double root
-    that touches zero between nodes without a sign change (a parameter
-    within about 1e-9 of a fold) is not reported.
+    """The roots of dU/dy that lie in spec.domain, sorted, each with its
+    stability, from the family's own `Potential.stationary_roots` (closed
+    forms and bracketed `brent_root` solves; no scan).  NoStationaryPointError
+    when none lies in the domain.
     """
     lo, hi = spec.domain
-    ys = _scan_nodes(float(lo).hex(), float(hi).hex())
-    g = spec.gradient_unchecked(ys)
-    sign = np.sign(g)
-
-    # Exact zeros at grid nodes (the LDPC family has one at y = 0), with the
-    # direction of dU/dy read off the next node (the previous one at hi).
-    last = SCAN_POINTS - 1
-    roots = [
-        (float(ys[i]), bool(sign[i + 1] > 0 if i < last else sign[i - 1] < 0))
-        for i in np.flatnonzero(np.abs(g) < ROOT_TOL)
-    ]
-
-    def grad(z: float) -> float:
-        return float(spec.gradient_unchecked(z))
-
-    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
-        root = brent_root(grad, ys[i], ys[i + 1], 1e-14, fa=g[i], fb=g[i + 1])
-        roots.append((root, bool(sign[i] < 0)))
-
-    merged: list[StationaryPoint] = []
-    for y, stable in sorted(roots, key=lambda root: root[0]):
-        if merged and abs(y - merged[-1].y) < 1e-9:
-            continue
-        merged.append(StationaryPoint(y, stable))
-
-    if not merged:
+    roots = sorted((y, stable) for y, stable in spec.stationary_roots() if lo <= y <= hi)
+    if not roots:
         raise NoStationaryPointError(
             "no stationary points found on the domain; invalid potential"
         )
-    return StationaryPointSet(tuple(merged))
+    return StationaryPointSet(tuple(StationaryPoint(y, stable) for y, stable in roots))
 
 
 def equal_height_parameter(
@@ -346,7 +393,7 @@ def equal_height_parameter(
     tol.  The bracket ends may come in either order.  Requires bistability at
     every probed parameter, a sign change across the bracket and tol > 0.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
 
     def height_diff(p: float) -> float:

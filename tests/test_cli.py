@@ -228,6 +228,15 @@ class TestBifurcation:
         assert code == 1
         assert "tol must be positive" in err
 
+    def test_curve_nan_tol_exits_before_sweep(self, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before tol was checked")
+
+        monkeypatch.setattr(bif, "sweep", no_sweep)
+        code, _, err = run(capsys, *self.ARGS, "--curve", "--tol", "nan")
+        assert code == 1
+        assert "tol must be positive" in err
+
     def test_config_h_bracket_json_list(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(

@@ -67,6 +67,11 @@ class TestBpThreshold:
         # for dv=2 the threshold is where eps*(dc-1) = 1
         assert bp_threshold(2, 4, tol=1e-4) == pytest.approx(1.0 / 3.0, abs=2e-4)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            bp_threshold(3, 6, tol=tol)
+
     def test_degree_two_limits(self):
         # dc = 2: the ratio x^(2-dv) is smallest at x = 1; dv = 2: its x -> 0 limit
         assert bp_threshold(3, 2) == 1.0

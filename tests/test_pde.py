@@ -53,6 +53,11 @@ class TestGridProfile:
         with pytest.raises(ValueError):
             Grid(-1.0, 201)
 
+    @pytest.mark.parametrize("x_max", [float("nan"), float("inf")])
+    def test_non_finite_x_max_rejected(self, x_max):
+        with pytest.raises(ValueError, match="x_max must be positive and finite"):
+            Grid(x_max, 101)
+
     def test_grid_geometry(self):
         g = Grid(1.0, 201)
         assert g.dx == pytest.approx(0.01)

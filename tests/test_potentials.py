@@ -10,11 +10,54 @@ from coupled_dynamics.potentials import (
     DomainError,
     DoubleWell,
     LdpcBec,
+    NoStationaryPointError,
+    Potential,
     ReflectedPotential,
     brent_root,
     equal_height_parameter,
     find_stationary_points,
 )
+
+# Nodes of the test-side sign scan over a potential's domain.
+SCAN_POINTS = 10_000
+FOLD = 2.0 / (3.0 * np.sqrt(3.0))  # DoubleWell(h) is bistable for |h| < FOLD
+# The 78 regular ensembles of the thresholds benchmark's pool, and ensembles
+# with dv = 2 or dc = 2, whose roots the family finds by their own cases.
+LDPC_POOL = [(dv, dc) for dv in range(3, 9) for dc in range(dv + 1, dv + 14)]
+LDPC_EDGE = [(2, dc) for dc in range(2, 10)] + [(dv, 2) for dv in range(3, 9)]
+
+
+def scan_stationary_points(spec):
+    """Test-side oracle: the roots of dU/dy as (y, stable) pairs from a sign
+    scan over SCAN_POINTS nodes, each sign change refined by `brent_root`.
+
+    A node with |dU/dy| < 1e-12 is a root as it stands, stable when dU/dy is
+    positive at its right neighbour (negative at its left one at the right
+    end of the domain); a bracketed root is stable when dU/dy rises through
+    it.  Roots closer than 1e-9 are merged, and a double root that touches
+    zero between nodes is missed.
+    """
+    lo, hi = spec.domain
+    ys = np.linspace(lo, hi, SCAN_POINTS)
+    g = spec.gradient_unchecked(ys)
+    sign = np.sign(g)
+    last = SCAN_POINTS - 1
+    roots = [
+        (float(ys[i]), bool(sign[i + 1] > 0 if i < last else sign[i - 1] < 0))
+        for i in np.flatnonzero(np.abs(g) < 1e-12)
+    ]
+
+    def grad(z):
+        return float(spec.gradient_unchecked(z))
+
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
+        root = brent_root(grad, ys[i], ys[i + 1], 1e-14, fa=g[i], fb=g[i + 1])
+        roots.append((root, bool(sign[i] < 0)))
+    merged = []
+    for y, stable in sorted(roots):
+        if not merged or abs(y - merged[-1][0]) >= 1e-9:
+            merged.append((y, stable))
+    return merged
 
 
 def simpson_potential(eps, dv, dc, y, n=4001):
@@ -243,21 +286,20 @@ class TestFindStationaryPoints:
                 assert a != b
 
     def test_near_fold(self):
-        # DoubleWell is bistable for |h| < 2/(3 sqrt 3); 1e-6 either side of
-        # the fold the sign scan finds three alternating roots, then one.
-        fold = 2.0 / (3.0 * np.sqrt(3.0))
-        inside = find_stationary_points(DoubleWell(fold - 1e-6)).points
+        # 1e-6 either side of the fold there are three alternating roots,
+        # then one.
+        inside = find_stationary_points(DoubleWell(FOLD - 1e-6)).points
         assert [p.stable for p in inside] == [True, False, True]
-        oracle = np.sort(np.roots([1.0, 0.0, -1.0, -(fold - 1e-6)]).real)
+        oracle = np.sort(np.roots([1.0, 0.0, -1.0, -(FOLD - 1e-6)]).real)
         assert np.allclose([p.y for p in inside], oracle, atol=1e-10)
-        outside = find_stationary_points(DoubleWell(fold + 1e-6)).points
+        outside = find_stationary_points(DoubleWell(FOLD + 1e-6)).points
         assert len(outside) == 1 and outside[0].stable
         assert outside[0].y > 1.0
 
     @pytest.mark.parametrize(
         "h",
         [float(h) for h in np.linspace(-0.38, 0.38, 39)]
-        + [s * (2.0 / (3.0 * np.sqrt(3.0)) + t) for s in (1, -1) for t in (-1e-6, 1e-6)],
+        + [s * (FOLD + t) for s in (1, -1) for t in (-1e-6, 1e-6)],
     )
     def test_double_well_stability_is_curvature_sign(self, h):
         for p in find_stationary_points(DoubleWell(h)).points:
@@ -305,12 +347,59 @@ class TestFindStationaryPoints:
         assert pts.y_plus == pytest.approx(0.0, abs=1e-12)
         assert refl.potential(-0.3) == pytest.approx(base.potential(0.3))
 
+    def test_narrowed_domain_drops_roots_outside_it(self):
+        pts = find_stationary_points(DoubleWell(0.0, domain=(-0.5, 2.0))).points
+        assert [p.stable for p in pts] == [False, True]
+        assert [p.y for p in pts] == [pytest.approx(0.0, abs=1e-15), 1.0]
+
+    def test_no_root_in_domain_raises(self):
+        # the one root of y^3 - y - 0.5 is near 1.19
+        with pytest.raises(NoStationaryPointError):
+            find_stationary_points(DoubleWell(0.5, domain=(-0.5, 0.5)))
+
+    def test_base_class_has_no_roots(self):
+        with pytest.raises(NotImplementedError):
+            Potential().stationary_roots()
+
+    def test_ldpc_2_2_at_full_erasure_rejected(self):
+        # dU/dy = (1 - eps) y vanishes identically at eps = 1
+        with pytest.raises(ValueError, match="vanishes identically"):
+            find_stationary_points(LdpcBec(1.0, 2, 2))
+
+
+def assert_matches_scan(spec):
+    exact = [(p.y, p.stable) for p in find_stationary_points(spec).points]
+    oracle = scan_stationary_points(spec)
+    assert [s for _, s in exact] == [s for _, s in oracle], spec
+    np.testing.assert_allclose(
+        [y for y, _ in exact], [y for y, _ in oracle], rtol=0.0, atol=1e-13, err_msg=repr(spec)
+    )
+
+
+class TestExactRootsMatchScan:
+    """Each family's exact roots against the test-side sign scan: the same
+    count, the same stability flags and |dy| <= 1e-13."""
+
+    def test_double_well(self):
+        hs = [float(h) for h in np.linspace(-0.38, 0.38, 627)]
+        for h in hs + [s * FOLD + t for s in (1, -1) for t in (-1e-6, 1e-6)]:
+            assert_matches_scan(DoubleWell(h))
+
+    @pytest.mark.parametrize("dv", [2, 3, 4, 5, 6, 7, 8])
+    def test_ldpc_and_reflection(self, dv):
+        for dc in sorted(c for v, c in LDPC_POOL + LDPC_EDGE if v == dv):
+            for eps in np.linspace(0.0, 1.0, 41):
+                if (dv, dc, eps) == (2, 2, 1.0):
+                    continue  # no isolated roots (test_ldpc_2_2_at_full_erasure_rejected)
+                assert_matches_scan(LdpcBec(float(eps), dv, dc))
+                assert_matches_scan(ReflectedPotential(LdpcBec(float(eps), dv, dc)))
+
 
 class TestBrentRoot:
     """brent_root against scipy's brentq (test-side oracle), to the bit."""
 
     def test_matches_brentq_on_scan_brackets(self):
-        # the sign-change brackets that find_stationary_points refines
+        # the sign-change brackets that scan_stationary_points refines
         from scipy.optimize import brentq
 
         specs = [DoubleWell(h) for h in np.linspace(-0.3, 0.3, 61)]
@@ -322,7 +411,7 @@ class TestBrentRoot:
             def grad(z):
                 return float(spec.gradient_unchecked(z))
 
-            ys = np.linspace(*spec.domain, potentials.SCAN_POINTS)
+            ys = np.linspace(*spec.domain, SCAN_POINTS)
             sign = np.sign(spec.gradient_unchecked(ys))
             for i in np.flatnonzero(sign[:-1] * sign[1:] < 0):
                 a, b = ys[i], ys[i + 1]
@@ -433,7 +522,7 @@ class TestEqualHeightParameter:
         equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6))
         assert len(calls) == 9
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_nonpositive_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.44, 0.5), tol=tol)
