@@ -92,8 +92,6 @@ def _resolve_y0(token, pts: potentials.StationaryPointSet) -> float:
 def cmd_de(args: argparse.Namespace) -> int:
     p = _merge(args, {"y0": 1.0, "max_iter": 100_000})
     dv, dc = int(p["dv"]), int(p["dc"])
-    if dv < 2 or dc < 2:
-        raise ValueError(f"degrees must be >= 2, got dv={dv}, dc={dc}")
     if p.get("threshold"):
         value = de_mod.bp_threshold(dv, dc, tol=float(p.get("tol", 1e-4)))
         print(f"bp_threshold {_fmt(value)}")
@@ -203,8 +201,15 @@ def cmd_bifurcation(args: argparse.Namespace) -> int:
     d_default, h_default = bif.default_sweep_box()
     d_values = _floats(p["d"]) if "d" in p else list(d_default)
     h_values = _floats(p["h"]) if "h" in p else list(h_default)
-    if p.get("curve") and not float(p["tol"]) > 0:
-        raise ValueError("tol must be positive")
+    curve = None
+    if p.get("curve"):  # first: a bad tol or d fails before the sweep's work
+        bracket = _floats(p["h_bracket"]) if "h_bracket" in p else [-0.3, -1e-3]
+        curve = bif.critical_curve(
+            d_values,
+            h_bracket=(bracket[0], bracket[1]),
+            tol=float(p["tol"]),
+            grid=grid,
+        )
     cells = bif.sweep(
         d_values, h_values, grid=grid, t_cap=float(p["t_cap"]), jobs=int(p["jobs"])
     )
@@ -217,14 +222,7 @@ def cmd_bifurcation(args: argparse.Namespace) -> int:
         _write_csv(Path(out) / "bifurcation_sweep.csv", "d,h,classification,t_exit", rows)
     n_pot = sum(1 for c in cells if c.classification == stationary.POT_SHAPED)
     print(f"{len(cells)} cells, {n_pot} pot-shaped")
-    if p.get("curve"):
-        bracket = _floats(p["h_bracket"]) if "h_bracket" in p else [-0.3, -1e-3]
-        curve = bif.critical_curve(
-            d_values,
-            h_bracket=(bracket[0], bracket[1]),
-            tol=float(p["tol"]),
-            grid=grid,
-        )
+    if curve is not None:
         for pt in curve:
             print(f"d={_fmt(pt.d)} h_crit={_fmt(pt.h_crit)}"
                   + (f" error={pt.error}" if pt.error else ""))

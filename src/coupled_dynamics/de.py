@@ -3,9 +3,8 @@
 The recursion y_{t+1} = eps * (1 - (1 - y_t)^(dc-1))^(dv-1) is a descent step
 of the LdpcBec potential: y_{t+1} - y_t = -dU/dy(y_t).  From y_0 = 1 it decays
 to zero exactly when eps is below the BP threshold, which `bp_threshold`
-computes from its fixed-point characterization (a minimum over x in (0, 1],
-found as a root of the slope of its log; the x -> 0 limit 1/(dc - 1) for
-dv = 2) without running the recursion.
+takes, without running the recursion, at the minimizer x_BP that
+`LdpcBec.stationary_roots` also brackets at (closed forms for dv = 2, dc = 2).
 """
 from __future__ import annotations
 
@@ -13,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import LdpcBec, brent_root, ldpc_slope
+from .potentials import LdpcBec, _ldpc_x_bp
 
 DEFAULT_MAX_ITER = 100_000
-# Grid cells over (0, 1] that bracket the minimizer of the threshold ratio.
-_THRESHOLD_GRID = 1000
 
 
 @dataclass
@@ -74,13 +71,13 @@ def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
 
     eps_BP = min over x in (0, 1] of x / (1 - (1 - x)^(dc-1))^(dv-1)
     (Richardson & Urbanke, Modern Coding Theory, 2008): below it the map has
-    no fixed point but 0.  The minimum is located on a grid; its minimizer is
-    then the root, by `brent_root` to within `tol` in x, of the slope of the
-    log ratio, which has the sign of `ldpc_slope` s(x) = 1 - (1-x)^m -
-    n m x (1-x)^(m-1) (n = dv - 1, m = dc - 1), over the two grid cells
-    around it.  Where s does not change sign there (the grid minimum at
-    x = 1 for dc = 2), the grid value stands.  For dv = 2 the ratio
-    increases in x, so the infimum is its x -> 0 limit 1/(dc - 1).
+    no fixed point but 0.  For dv, dc >= 3 the minimum is the ratio at x_BP
+    (`potentials._ldpc_x_bp`).  For dc = 2 the ratio x^(2-dv) is least at
+    x = 1, so eps_BP = 1; for dv = 2 it increases in x, so the infimum is its
+    x -> 0 limit 1/(dc - 1).
+
+    tol: a positive tolerance in x, which the result always meets, since x_BP
+    is solved to within 1e-14.
     """
     if dv < 2 or dc < 2:
         raise ValueError(f"degrees must be >= 2, got dv={dv}, dc={dc}")
@@ -88,19 +85,8 @@ def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
         raise ValueError("tol must be positive")
     if dv == 2:
         return 1.0 / (dc - 1)
+    if dc == 2:
+        return 1.0
     n, m = dv - 1, dc - 1
-
-    def ratio(x):
-        return x / (1.0 - (1.0 - x) ** m) ** n
-
-    def slope(x):
-        return ldpc_slope(x, n, m)
-
-    xs = np.linspace(0.0, 1.0, _THRESHOLD_GRID + 1)
-    i = 1 + int(np.argmin(ratio(xs[1:])))
-    a, b = float(xs[i - 1]), float(xs[min(i + 1, _THRESHOLD_GRID)])
-    best = ratio(xs[i])
-    sa, sb = slope(a), slope(b)
-    if sa * sb < 0.0:
-        best = min(ratio(brent_root(slope, a, b, tol, fa=sa, fb=sb)), best)
-    return float(best)
+    x = _ldpc_x_bp(n, m)
+    return x / (1.0 - (1.0 - x) ** m) ** n

@@ -147,7 +147,7 @@ class LdpcBec(Potential):
     epsilon: float
     dv: int
     dc: int
-    domain: tuple[float, float] = (0.0, 1.0)
+    domain: tuple[float, float] = field(default=(0.0, 1.0), init=False)
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
@@ -184,11 +184,11 @@ class LdpcBec(Potential):
         (Richardson & Urbanke, Modern Coding Theory, 2008), where dU/dy =
         x - epsilon g(x)^n changes sign.
 
-        For n, m >= 2, eps(x) falls from +inf to its minimum at x_BP, the one
-        root of `ldpc_slope` in (0, 1), then rises to eps(1) = 1.  Below the
-        minimum 0 is the only root; above it an unstable root lies in
-        [a, x_BP], where g(x) <= m x makes dU/dy(a) > 0, and a stable one in
-        [x_BP, 1], exactly 1 at epsilon = 1.  For n = 1 dU/dy is convex with
+        For n, m >= 2, eps(x) falls from +inf to its minimum at x_BP
+        (`_ldpc_x_bp`), then rises to eps(1) = 1.  Below the minimum 0 is
+        the only root; above it an unstable root lies in [a, x_BP], where
+        g(x) <= m x makes dU/dy(a) > 0, and a stable one in [x_BP, 1],
+        exactly 1 at epsilon = 1.  For n = 1 dU/dy is convex with
         slope 1 - epsilon m at 0: 0 is stable if that slope is >= 0, else
         unstable with a stable root past the minimum of dU/dy.  For m = 1
         dU/dy = x - epsilon x^n, whose only root but 0 is 1 at epsilon = 1;
@@ -219,22 +219,21 @@ class LdpcBec(Potential):
         ]
 
 
-def ldpc_slope(x, n: int, m: int):
-    """s(x) = 1 - (1-x)^m - n m x (1-x)^(m-1), which has the sign of the
-    slope of log(x / g(x)^n), g(x) = 1 - (1-x)^m (n = dv - 1, m = dc - 1).
-
-    For n, m >= 2 it has exactly one root in (0, 1): in t = 1 - x its
-    derivative m t^(m-2) ((nm - 1) t - n (m - 1)) changes sign once, at
-    x = (n - 1)/(nm - 1), while s(x) -> 0- as x -> 0 and s(1) = 1.
-    """
-    return 1.0 - (1.0 - x) ** m - n * m * x * (1.0 - x) ** (m - 1)
-
-
 @lru_cache(maxsize=128)
 def _ldpc_x_bp(n: int, m: int) -> float:
-    """The root x_BP of `ldpc_slope` in ((n - 1)/(nm - 1), 1), n, m >= 2: the
-    minimizer of x / g(x)^n."""
-    return brent_root(lambda x: ldpc_slope(x, n, m), (n - 1) / (n * m - 1), 1.0, _ROOT_XTOL)
+    """The minimizer x_BP of x / g(x)^n, g(x) = 1 - (1-x)^m, for n, m >= 2
+    (n = dv - 1, m = dc - 1): the root of s(x) = 1 - (1-x)^m -
+    n m x (1-x)^(m-1), which has the sign of the slope of log(x / g(x)^n).
+
+    s has exactly one root in (0, 1), and it lies in ((n - 1)/(nm - 1), 1): in
+    t = 1 - x its derivative m t^(m-2) ((nm - 1) t - n (m - 1)) changes sign
+    once, at x = (n - 1)/(nm - 1), while s(x) -> 0- as x -> 0 and s(1) = 1.
+    """
+
+    def slope(x):
+        return 1.0 - (1.0 - x) ** m - n * m * x * (1.0 - x) ** (m - 1)
+
+    return brent_root(slope, (n - 1) / (n * m - 1), 1.0, _ROOT_XTOL)
 
 
 @dataclass(frozen=True)
@@ -407,4 +406,4 @@ def equal_height_parameter(
         return float(u_minus - u_plus)
 
     a, b = float(param_interval[0]), float(param_interval[1])
-    return brent_root(height_diff, a, b, tol, fa=height_diff(a), fb=height_diff(b))
+    return brent_root(height_diff, a, b, tol)

@@ -109,6 +109,17 @@ class TestBpThreshold:
             oracle = min(res.fun, ratio(xs[i]))
             assert abs(bp_threshold(dv, dc, tol=1e-6) - oracle) < 1e-12
 
+    @pytest.mark.parametrize("dv", range(2, 9))
+    def test_agrees_with_stationary_roots(self, dv):
+        # de and potentials place eps_BP at the same point: just below it 0 is
+        # the only stationary point, just above it the others appear
+        for dc in range(3, dv + 16):
+            thr = bp_threshold(dv, dc, tol=1e-6)
+            below = LdpcBec(thr * (1 - 1e-9), dv, dc).stationary_roots()
+            above = LdpcBec(thr * (1 + 1e-9), dv, dc).stationary_roots()
+            assert len(below) == 1, (dv, dc)
+            assert len(above) == (2 if dv == 2 else 3), (dv, dc)
+
     def test_regular_3_6_value(self):
         assert abs(bp_threshold(3, 6, tol=1e-6) - 0.42943981441949) < 1e-12
 
