@@ -4,7 +4,6 @@ metastable point."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
@@ -87,6 +86,9 @@ def sweep(
     cells = [(float(d), float(h)) for d in d_values for h in h_values]
     workers = min(jobs, len(cells))
     if workers > 1:
+        # imported here: multiprocessing is costly to load and only a pool needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         ds, hs = zip(*cells)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_classify_cell, ds, hs, repeat(grid), repeat(t_cap)))

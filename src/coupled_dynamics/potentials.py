@@ -141,7 +141,12 @@ class LdpcBec(Potential):
     """Potential whose descent step is the (dv, dc)-regular BEC recursion.
 
     U(y) = int_0^y [z - eps * (1 - (1 - z)^(dc-1))^(dv-1)] dz, evaluated in
-    closed form via the binomial expansion of the integrand.
+    closed form via the binomial expansion of the integrand: with
+    n = dv - 1 and m = dc - 1, int_0^y (1 - (1-z)^m)^n dz =
+    sum_k C(n,k) (-1)^k (1 - (1-y)^(mk+1)) / (mk+1), k = 0..n, all n + 1
+    terms in one array expression over exponents and coefficients cached
+    per (n, m) (`_ldpc_potential_terms`).  The terms are summed along a
+    trailing axis, so U(y) has the same bits at any input shape.
     """
 
     epsilon: float
@@ -157,14 +162,8 @@ class LdpcBec(Potential):
 
     def potential(self, y):
         arr = self._check_domain(y)
-        n = self.dv - 1
-        m = self.dc - 1
-        # int_0^y (1 - (1-z)^m)^n dz = sum_k C(n,k)(-1)^k (1 - (1-y)^(mk+1))/(mk+1)
-        acc = np.zeros_like(arr, dtype=float)
-        one_minus = 1.0 - arr
-        for k in range(n + 1):
-            p = m * k + 1
-            acc += math.comb(n, k) * (-1.0) ** k * (1.0 - one_minus**p) / p
+        p, c = _ldpc_potential_terms(self.dv - 1, self.dc - 1)
+        acc = ((1.0 - (1.0 - arr)[..., None] ** p) * c).sum(axis=-1)
         return _maybe_scalar(arr**2 / 2.0 - self.epsilon * acc, y)
 
     def gradient(self, y):
@@ -187,10 +186,13 @@ class LdpcBec(Potential):
         For n, m >= 2, eps(x) falls from +inf to its minimum at x_BP
         (`_ldpc_x_bp`), then rises to eps(1) = 1.  Below the minimum 0 is
         the only root; above it an unstable root lies in [a, x_BP], where
-        g(x) <= m x makes dU/dy(a) > 0, and a stable one in [x_BP, 1],
-        exactly 1 at epsilon = 1.  For n = 1 dU/dy is convex with
-        slope 1 - epsilon m at 0: 0 is stable if that slope is >= 0, else
-        unstable with a stable root past the minimum of dU/dy.  For m = 1
+        g(x) <= m x makes dU/dy(a) > 0, and a stable one x+ in
+        [x_BP, epsilon], exactly 1 at epsilon = 1.  For n = 1 dU/dy is convex
+        with slope 1 - epsilon m at 0: 0 is stable if that slope is >= 0,
+        else unstable with a stable root x+ in [the minimum of dU/dy,
+        epsilon].  Either way x+ <= epsilon, as x+ = epsilon g(x+)^n with
+        g <= 1; and dU/dy(epsilon) = epsilon (1 - g(epsilon)^n) >= 0,
+        zero only at epsilon = 1, so epsilon closes the bracket.  For m = 1
         dU/dy = x - epsilon x^n, whose only root but 0 is 1 at epsilon = 1;
         n = m = 1 with epsilon = 1 (dU/dy = 0 everywhere) is a ValueError.
         """
@@ -206,7 +208,7 @@ class LdpcBec(Potential):
             if eps * m <= 1.0:
                 return [(0.0, True)]
             lo = 1.0 - (eps * m) ** (-1.0 / (m - 1))  # the minimum of dU/dy
-            return [(0.0, False), (brent_root(grad, lo, 1.0, _ROOT_XTOL), True)]
+            return [(0.0, False), (brent_root(grad, lo, eps, _ROOT_XTOL), True)]
         x_bp = _ldpc_x_bp(n, m)
         g_bp = grad(x_bp)
         if not g_bp < 0.0:
@@ -215,8 +217,20 @@ class LdpcBec(Potential):
         return [
             (0.0, True),
             (brent_root(grad, a, x_bp, _ROOT_XTOL, fb=g_bp), False),
-            (brent_root(grad, x_bp, 1.0, _ROOT_XTOL, fa=g_bp), True),
+            (brent_root(grad, x_bp, eps, _ROOT_XTOL, fa=g_bp), True),
         ]
+
+
+@lru_cache(maxsize=128)
+def _ldpc_potential_terms(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exponents p_k = mk + 1 and coefficients C(n,k) (-1)^k / p_k,
+    k = 0..n, of the binomial expansion in `LdpcBec.potential`; read-only,
+    as the cache shares them."""
+    p = m * np.arange(n + 1.0) + 1.0
+    c = np.array([math.comb(n, k) * (-1.0) ** k for k in range(n + 1)]) / p
+    p.flags.writeable = False
+    c.flags.writeable = False
+    return p, c
 
 
 @lru_cache(maxsize=128)

@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -62,7 +64,8 @@ class TestSweep:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(bifurcation, "ProcessPoolExecutor", FakePool)
+        # sweep imports the pool class from concurrent.futures only when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         h_values = [-0.02, -0.05, -0.2][:cells]
         got = sweep([0.1], h_values, grid=GRID, t_cap=2e3, jobs=jobs)
         assert sizes == ([] if workers is None else [workers])

@@ -1,7 +1,7 @@
 """The package imports numpy alone and loads scipy.linalg on the first
-relaxation or Newton polish: threshold and critical-curve runs load no scipy,
-and the threshold and refinement paths load neither scipy.optimize nor
-scipy.interpolate."""
+relaxation or Newton polish: threshold and critical-curve runs load no scipy
+and no process-pool machinery (multiprocessing), and the threshold and
+refinement paths load neither scipy.optimize nor scipy.interpolate."""
 import os
 import subprocess
 import sys
@@ -42,6 +42,8 @@ assert cli.main(["threshold-sc", "--family", "ldpc", "--dv", "3", "--dc", "6",
 assert all(p.error is None for p in critical_curve([0.05, 0.1], tol=1e-6))
 equal_height_parameter(DoubleWell, (-0.1, 0.1))
 assert not scipy_modules(), scipy_modules()
+pool_modules = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+assert not pool_modules, pool_modules
 sol = solve_stationary(DoubleWell(-0.01), 0.01, Grid(1.0, 101))
 assert sol.classification == "PotShaped", sol.classification
 assert "scipy.linalg" in sys.modules

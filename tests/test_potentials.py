@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,22 @@ def simpson_potential(eps, dv, dc, y, n=4001):
     return h / 3.0 * (f[0] + f[-1] + 4.0 * np.sum(f[1:-1:2]) + 2.0 * np.sum(f[2:-1:2]))
 
 
+def loop_potential(eps, dv, dc, y):
+    """Test-side oracle: the closed form summed one binomial term at a time,
+    int_0^y (1 - (1-z)^m)^n dz = sum_k C(n,k)(-1)^k (1 - (1-y)^(mk+1))/(mk+1)."""
+    n, m = dv - 1, dc - 1
+    acc = 0.0
+    for k in range(n + 1):
+        p = m * k + 1
+        acc += math.comb(n, k) * (-1.0) ** k * (1.0 - (1.0 - y) ** p) / p
+    return y * y / 2.0 - eps * acc
+
+
+# Ensembles with the fewest terms (n = 1, m = 1) up to the pool's highest
+# degree, (8, 21): 8 terms, exponents up to 141.
+POTENTIAL_ENSEMBLES = [(2, 2), (2, 5), (4, 2), (3, 6), (8, 21)]
+
+
 class TestEvalPotential:
     """Potential.potential: closed forms, quadrature oracle, domain check."""
 
@@ -103,6 +121,12 @@ class TestEvalPotential:
             assert spec.potential(y) == pytest.approx(
                 simpson_potential(0.4, 4, 8, y, n=40001), abs=1e-10
             )
+        for dv, dc in POTENTIAL_ENSEMBLES:
+            spec = LdpcBec(0.45, dv, dc)
+            for y in [1e-3, 0.3, 0.92, 1.0]:
+                assert spec.potential(y) == pytest.approx(
+                    simpson_potential(0.45, dv, dc, y, n=40001), abs=1e-10
+                ), (dv, dc, y)
 
     def test_domain_violation(self):
         with pytest.raises(DomainError):
@@ -120,6 +144,42 @@ class TestEvalPotential:
 
     def test_nan_passes_domain_check(self):
         assert np.isnan(DoubleWell(0.0).gradient(np.array([np.nan, 0.5]))[0])
+
+    def test_nan_does_not_hide_a_value_outside_the_domain(self):
+        # a min/max test would pass this array: both are NaN
+        with pytest.raises(DomainError, match=r": 1\.5 at index 1$"):
+            LdpcBec(0.45, 3, 6).potential(np.array([np.nan, 1.5]))
+
+    @pytest.mark.parametrize("dv, dc", POTENTIAL_ENSEMBLES)
+    def test_ldpc_matches_per_term_loop(self, dv, dc):
+        ys = [0.0, 1e-3, 0.3, 1.0]
+        for eps in (0.0, 0.45, 1.0):
+            values = LdpcBec(eps, dv, dc).potential(np.array(ys))
+            oracle = [loop_potential(eps, dv, dc, y) for y in ys]
+            np.testing.assert_allclose(values, oracle, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "spec", [LdpcBec(0.45, 3, 6), ReflectedPotential(LdpcBec(0.45, 3, 6))], ids=repr
+    )
+    def test_ldpc_shapes(self, spec):
+        lo, hi = spec.domain
+        grid = np.linspace(lo, hi, 6).reshape(2, 3)
+        y = float(grid[0, 1])
+        assert type(spec.potential(y)) is float
+        assert type(spec.potential(np.array(y))) is float
+        assert spec.potential(grid[0]).shape == (3,)
+        values = spec.potential(grid)
+        assert values.shape == (2, 3)
+        assert values.tolist() == [[spec.potential(v) for v in row] for row in grid.tolist()]
+
+    def test_ldpc_cached_terms_read_only(self):
+        p, c = potentials._ldpc_potential_terms(2, 5)
+        assert p.tolist() == [1.0, 6.0, 11.0]
+        assert c.tolist() == [1.0, -2.0 / 6.0, 1.0 / 11.0]
+        for arr in (p, c):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestEvalGradient:
@@ -393,6 +453,25 @@ class TestExactRootsMatchScan:
                     continue  # no isolated roots (test_ldpc_2_2_at_full_erasure_rejected)
                 assert_matches_scan(LdpcBec(float(eps), dv, dc))
                 assert_matches_scan(ReflectedPotential(LdpcBec(float(eps), dv, dc)))
+            if dc > 2:  # the bracket's end epsilon = 1 is the stable root itself
+                assert find_stationary_points(LdpcBec(1.0, dv, dc)).y_plus == 1.0
+
+    @pytest.mark.parametrize("dv", [2, 3, 4, 5, 6, 7, 8])
+    def test_ldpc_just_above_bp_threshold(self, dv):
+        # At epsilon_BP (1 + 1e-9) the stable root sits next to the unstable
+        # one (next to 0 for dv = 2), closer than the scan's node spacing and
+        # rounding-limited to about 1e-12, so each root is checked as a sign
+        # change of dU/dy across y (1 -+ 1e-8) instead.
+        for dc in sorted(c for v, c in LDPC_POOL + LDPC_EDGE if v == dv and c > 2):
+            eps = bp_threshold(dv, dc) * (1.0 + 1e-9)
+            spec = LdpcBec(eps, dv, dc)
+            points = find_stationary_points(spec).points
+            expected = [False, True] if dv == 2 else [True, False, True]
+            assert [p.stable for p in points] == expected, (dv, dc)
+            assert points[-1].y <= eps
+            for p in points[1:]:
+                below, above = spec.gradient_unchecked(np.array([1.0 - 1e-8, 1.0 + 1e-8]) * p.y)
+                assert (below < 0.0 < above) if p.stable else (below > 0.0 > above), (dv, dc, p)
 
 
 class TestBrentRoot:
@@ -521,6 +600,20 @@ class TestEqualHeightParameter:
         monkeypatch.setattr(potentials, "find_stationary_points", counted)
         equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6))
         assert len(calls) == 9
+
+    def test_gradient_evaluations_counted(self, monkeypatch):
+        # every dU/dy evaluation of the root solves at all 9 probes (201
+        # while the stable root was bracketed by [x_BP, 1])
+        calls = []
+        unchecked = LdpcBec.gradient_unchecked
+
+        def counted(self, arr):
+            calls.append(arr)
+            return unchecked(self, arr)
+
+        monkeypatch.setattr(LdpcBec, "gradient_unchecked", counted)
+        equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6))
+        assert len(calls) == 170
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_nonpositive_tol_rejected(self, tol):
