@@ -62,10 +62,10 @@ def _classify_cell(d: float, h: float, grid: Optional[Grid], t_cap: float) -> Bi
             t_exit=0.0,
             error=f"topology change: potential not bistable at h={h}",
         )
-    sol = solve_stationary(spec, d, grid=grid, y0=pts.y_minus, t_cap=t_cap)
-    if not sol.steady or sol.classification == OTHER:
-        return BifurcationCell(d=d, h=h, classification=UNRESOLVED, t_exit=sol.t_exit)
-    return BifurcationCell(d=d, h=h, classification=sol.classification, t_exit=sol.t_exit)
+    sol = solve_stationary(spec, d, grid=grid, t_cap=t_cap)
+    # solve_stationary labels every unsteady run Other
+    label = UNRESOLVED if sol.classification == OTHER else sol.classification
+    return BifurcationCell(d=d, h=h, classification=label, t_exit=sol.t_exit)
 
 
 def sweep(

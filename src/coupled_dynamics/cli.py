@@ -121,7 +121,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         args,
         {**_SPEC_DEFAULTS, "y0": "minus", "t_end": 2e4, "steady_tol": 1e-9, "snapshots": 100},
     )
-    pde.check_coupling(float(p["d"]))
     spec = _make_spec(p)
     grid = pde.Grid(float(p["xmax"]), int(p["n"]))
     pts = potentials.find_stationary_points(spec)
@@ -137,7 +136,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         snapshot_every=int(p["snapshots"]),
         keep_snapshots=bool(out),
     )
-    classification = stationary.classify_profile(record.final, pts.y_plus)
+    classification = stationary.classify_profile(record.final)
     print(f"classification {classification} residual {_fmt(record.residual)}"
           f" steady={record.steady} t={_fmt(record.t_final)}")
     if out:
@@ -324,20 +323,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     func = args.func
     del args.command, args.func
+    # package failures subclass ValueError (input or domain) or RuntimeError (numeric run)
     try:
         return func(args)
-    except (
-        ValueError,
-        KeyError,
-        potentials.DomainError,
-        potentials.BracketingError,
-        potentials.TopologyChangeError,
-        stationary.HypothesisError,
-        stationary.NotSteadyError,
-        stationary.ReconstructionInfeasibleError,
-        pde.DivergenceError,
-        FileNotFoundError,
-    ) as exc:
+    except (ValueError, RuntimeError, KeyError, FileNotFoundError) as exc:
         msg = f"missing required parameter {exc}" if isinstance(exc, KeyError) else str(exc)
         print(f"error: {msg}", file=sys.stderr)
         return 1

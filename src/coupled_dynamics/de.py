@@ -19,9 +19,6 @@ DEFAULT_MAX_ITER = 100_000
 
 @dataclass
 class DeTrajectory:
-    eps: float
-    dv: int
-    dc: int
     iterates: np.ndarray
     converged: bool
     fixed_point: float
@@ -56,14 +53,7 @@ def run_de(
             y = y_next
             break
         y = y_next
-    return DeTrajectory(
-        eps=spec.epsilon,
-        dv=spec.dv,
-        dc=spec.dc,
-        iterates=np.array(iterates),
-        converged=converged,
-        fixed_point=float(y),
-    )
+    return DeTrajectory(np.array(iterates), converged, float(y))
 
 
 def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:

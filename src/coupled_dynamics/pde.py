@@ -199,29 +199,23 @@ def integrate(
     profile0: Profile,
     spec: Potential,
     coupling: Coupling,
-    dt: Optional[float] = None,
     t_end: float = 1000.0,
     steady_tol: float = DEFAULT_STEADY_TOL,
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     keep_snapshots: bool = True,
 ) -> TrajectoryRecord:
-    """Explicit-Euler evolution with Dirichlet re-imposition each step.
+    """Explicit-Euler evolution with Dirichlet re-imposition each step, at
+    the step `stable_dt` = CFL_SAFETY dx^2 / max D, inside the diffusion
+    stability bound 0.5 dx^2 / max D.
 
-    Exits early with steady=True once max|rhs| < steady_tol.  A user-supplied
-    dt above the diffusion stability bound is rejected, and so is t_end < 0;
-    t_end = 0 takes no step.
+    Exits early with steady=True once max|rhs| < steady_tol.  t_end < 0 is
+    rejected; t_end = 0 takes no step.
     """
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
     grid = profile0.grid
     coupling.validate_positive(spec.domain)
-    dt_bound = 0.5 * grid.dx**2 / coupling.max_over(spec.domain)
-    if dt is None:
-        dt = stable_dt(grid, spec, coupling)
-    elif dt > dt_bound:
-        raise ValueError(
-            f"dt={dt:.6g} exceeds the explicit stability bound {dt_bound:.6g}"
-        )
+    dt = stable_dt(grid, spec, coupling)
     bv = profile0.boundary_value
     work = Profile(grid, profile0.values.copy(), bv)
     y = work.values

@@ -98,15 +98,17 @@ def _stationary_residual(profile: Profile, spec: Potential, d: float) -> float:
     return float(np.max(np.abs(res)))
 
 
-def classify_profile(profile: Profile, y_plus: float) -> str:
-    """Apply the discrete pot-shape predicate: a center dip of at least
-    POT_TOL below the boundary with halves monotone to within SLOPE_TOL;
-    profiles within POT_TOL of y_plus are uniform; anything else is Other."""
+def classify_profile(profile: Profile) -> str:
+    """Apply the discrete pot-shape predicate against the pinned boundary
+    value y_b = profile.boundary_value: profiles within POT_TOL of y_b are
+    uniform; a center dip of at least POT_TOL below y_b with halves monotone
+    to within SLOPE_TOL is pot-shaped; anything else is Other."""
     y = profile.values
-    if float(np.max(np.abs(y - y_plus))) < POT_TOL:
+    y_b = profile.boundary_value
+    if float(np.max(np.abs(y - y_b))) < POT_TOL:
         return UNIFORM
     center = (len(y) - 1) // 2
-    dips = y[center] < profile.boundary_value - POT_TOL
+    dips = y[center] < y_b - POT_TOL
     left, right = np.diff(y[: center + 1]), np.diff(y[center:])
     monotone = bool(np.all(left <= SLOPE_TOL) and np.all(right >= -SLOPE_TOL))
     if dips and monotone:
@@ -145,6 +147,21 @@ def _slopes(profile: Profile) -> np.ndarray:
 def _boundary_first_integral(profile: Profile, spec: Potential, d: float) -> float:
     slope = _slopes(profile)[-1]
     return float(0.5 * d * slope**2 - spec.potential(profile.boundary_value))
+
+
+def _solution(
+    profile: Profile, spec: Potential, d: float, steady: bool, t_exit: float
+) -> StationarySolution:
+    """The report on a solved profile: classified when steady, else Other,
+    with its boundary first-integral constant and Numerov residual."""
+    return StationarySolution(
+        profile=profile,
+        classification=classify_profile(profile) if steady else OTHER,
+        first_integral_constant=_boundary_first_integral(profile, spec, d),
+        residual=_stationary_residual(profile, spec, d),
+        steady=steady,
+        t_exit=t_exit,
+    )
 
 
 def _newton_polish(
@@ -194,7 +211,8 @@ def solve_stationary(
     """Relax the PDE from a uniform initial state and classify the outcome.
 
     Constant coupling only.  The boundary value is the largest stable point
-    of the potential; y0 defaults to the smallest stable point.  Relaxation
+    of the potential; y0 defaults to the smallest stable point, and a y0
+    outside spec.domain raises DomainError before any work.  Relaxation
     takes linearly implicit Euler steps, sized by their local error, toward
     the fixed point of the second-order stencil and finishes the linear tail
     by Newton on that stencil (see `pde._relax`), until the residual is below
@@ -215,26 +233,15 @@ def solve_stationary(
         grid = Grid(1.0, 201)
     _require_slope_nodes(grid.n_points)
     pts = find_stationary_points(spec)
-    y_plus = pts.y_plus
     if y0 is None:
         y0 = pts.y_minus
-    profile0 = Profile.uniform(grid, y0, boundary_value=y_plus)
+    spec._check_domain(y0)
+    profile0 = Profile.uniform(grid, y0, boundary_value=pts.y_plus)
     final, relax_residual, t_exit = _relax(profile0, spec, d, t_cap, DEFAULT_STEADY_TOL)
     steady = relax_residual < RELAX_HANDOVER_TOL and _newton_polish(
         final, spec, d, DEFAULT_STEADY_TOL
     )
-    if steady:
-        classification = classify_profile(final, y_plus)
-    else:
-        classification = OTHER
-    return StationarySolution(
-        profile=final,
-        classification=classification,
-        first_integral_constant=_boundary_first_integral(final, spec, d),
-        residual=_stationary_residual(final, spec, d),
-        steady=steady,
-        t_exit=t_exit,
-    )
+    return _solution(final, spec, d, steady, t_exit)
 
 
 def refine_profile(
@@ -266,15 +273,7 @@ def refine_profile(
             f"Newton polish failed to reach residual {DEFAULT_STEADY_TOL:g} on the"
             f" refined grid (n={grid.n_points})"
         )
-    y_plus = find_stationary_points(spec).y_plus
-    return StationarySolution(
-        profile=new,
-        classification=classify_profile(new, y_plus),
-        first_integral_constant=_boundary_first_integral(new, spec, d),
-        residual=_stationary_residual(new, spec, d),
-        steady=True,
-        t_exit=0.0,
-    )
+    return _solution(new, spec, d, True, 0.0)
 
 
 def first_integral(

@@ -29,6 +29,13 @@ class TestSweep:
         assert cells[0].classification is None
         assert cells[1].classification == UNIFORM
 
+    def test_capped_cell_is_unresolved(self):
+        # h = 0, d = 0.001: the symmetric kink pair drifts far slower than t_cap
+        (cell,) = sweep([0.001], [0.0], grid=GRID, t_cap=50.0)
+        assert cell.classification == bifurcation.UNRESOLVED
+        assert cell.t_exit == 50.0
+        assert cell.error is None
+
     def test_monotone_in_tilt_at_fixed_coupling(self):
         h_values = [-0.02, -0.08, -0.15, -0.2]
         cells = sweep([0.1], h_values, grid=GRID, t_cap=5e3)

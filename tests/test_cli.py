@@ -1,9 +1,11 @@
 import argparse
+import inspect
 import json
 
 import pytest
 
 from coupled_dynamics import bifurcation as bif
+from coupled_dynamics import de, pde, potentials, stationary
 from coupled_dynamics.cli import build_parser, main
 
 
@@ -63,6 +65,37 @@ class TestUsageErrors:
         )
         assert code == 1
         assert "error:" in err
+
+
+class TestFailureMapping:
+    def test_package_errors_are_value_or_runtime_errors(self):
+        # `main` maps exactly these two bases (plus KeyError and
+        # FileNotFoundError) to exit code 1
+        errors = [
+            cls
+            for mod in (potentials, pde, stationary, bif, de)
+            for _, cls in inspect.getmembers(mod, inspect.isclass)
+            if issubclass(cls, BaseException) and cls.__module__ == mod.__name__
+        ]
+        assert len(errors) >= 8
+        for cls in errors:
+            assert issubclass(cls, (ValueError, RuntimeError)), cls
+
+    def test_no_stationary_point_exits_1(self, capsys):
+        # DoubleWell(10)'s only root, about 2.2, lies outside [-2, 2]
+        code, out, err = run(capsys, "stationary", "--h", "10", "--n", "11")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: no stationary points")
+
+    def test_numeric_failure_exits_1(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("failed to converge after 100 iterations")
+
+        monkeypatch.setattr(potentials, "equal_height_parameter", fail)
+        code, _, err = run(capsys, "threshold-sc", "--bracket", "-0.1", "0.1")
+        assert code == 1
+        assert err == "error: failed to converge after 100 iterations\n"
 
 
 class TestThresholdSc:
@@ -128,6 +161,22 @@ class TestStationary:
         assert code == 0
         assert out.split()[1] == "Uniform"
 
+    def test_numeric_y0(self, capsys):
+        code, out, _ = run(capsys, "stationary", "--y0", "0.3", "--h=-0.01", "--n", "101")
+        assert code == 0
+        sol = stationary.solve_stationary(
+            potentials.DoubleWell(-0.01), 0.01, grid=pde.Grid(1.0, 101), y0=0.3
+        )
+        assert out.split()[1] == sol.classification == "Uniform"
+        assert float(out.split()[3]) == sol.residual
+
+    @pytest.mark.parametrize("y0", ["5", "-3"])
+    def test_y0_outside_domain_exits_1(self, capsys, y0):
+        code, out, err = run(capsys, "stationary", f"--y0={y0}", "--h=-0.01", "--n", "51")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: state outside domain [-2.0, 2.0]: {float(y0)}\n"
+
     def test_config_list_on_scalar_key_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d": [0.01], "h": -0.01}))
@@ -176,6 +225,15 @@ class TestTheorem1:
         code, _, err = run(capsys, "theorem1", "--h", "-0.05", "--d", "0.01")
         assert code == 1
         assert "error:" in err
+
+    def test_ldpc_y0_outside_reflected_domain_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "theorem1", "--family", "ldpc", "--dv", "3", "--dc", "6",
+            "--eps", "0.45", "--n", "51", "--d", "0.01", "--y0", "0.5",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: state outside domain [-1.0, -0.0]: 0.5\n"
 
     def test_config_json_lists(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -218,14 +218,6 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="t_end"):
             integrate(prof, DoubleWell(0.01), ConstantCoupling(0.01), t_end=-5.0)
 
-    def test_dt_rejection(self):
-        spec = DoubleWell(0.0)
-        g = Grid(1.0, 201)
-        prof = Profile.uniform(g, 0.5, boundary_value=1.0)
-        bound = 0.5 * g.dx**2 / 0.01
-        with pytest.raises(ValueError, match="stability bound"):
-            integrate(prof, spec, ConstantCoupling(0.01), dt=2 * bound)
-
     def test_divergence_detected(self):
         spec = DoubleWell(0.0, domain=(-1e8, 1e8))
         g = Grid(1.0, 11)

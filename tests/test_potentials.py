@@ -15,6 +15,7 @@ from coupled_dynamics.potentials import (
     NoStationaryPointError,
     Potential,
     ReflectedPotential,
+    TopologyChangeError,
     brent_root,
     equal_height_parameter,
     find_stationary_points,
@@ -587,6 +588,12 @@ class TestEqualHeightParameter:
     def test_no_sign_change(self):
         with pytest.raises(BracketingError):
             equal_height_parameter(DoubleWell, (0.01, 0.1))
+
+    def test_monostable_probe_raises_topology_change(self):
+        # DoubleWell(-0.5) is past the fold, and the first end is probed first
+        with pytest.raises(TopologyChangeError) as info:
+            equal_height_parameter(DoubleWell, (-0.5, 0.1))
+        assert info.value.parameter == -0.5
 
     def test_bracket_ends_evaluated_once(self, monkeypatch):
         # both end values are computed once and handed to brent_root, which

@@ -6,6 +6,7 @@ import pytest
 from coupled_dynamics import pde, stationary
 from coupled_dynamics.pde import DEFAULT_STEADY_TOL, Grid, Profile
 from coupled_dynamics.potentials import (
+    DomainError,
     DoubleWell,
     LdpcBec,
     ReflectedPotential,
@@ -74,6 +75,30 @@ class TestSolveStationary:
         sol = solve_stationary(DoubleWell(-0.01), 0.01, grid=Grid(1.0, 5))
         assert sol.steady
         assert sol.classification == POT_SHAPED
+
+    @pytest.mark.parametrize(
+        "spec, y0",
+        [
+            (DoubleWell(-0.01), 5.0),
+            (DoubleWell(-0.01), -3.0),
+            (LdpcBec(0.45, 3, 6), 1.5),
+            (ReflectedPotential(LdpcBec(0.45, 3, 6)), 0.5),
+            (ReflectedPotential(LdpcBec(0.45, 3, 6)), -3.0),
+        ],
+    )
+    def test_y0_outside_domain_rejected_before_relaxing(self, spec, y0, monkeypatch):
+        def no_relax(*args):
+            raise AssertionError("relaxed from a y0 outside the domain")
+
+        monkeypatch.setattr(stationary, "_relax", no_relax)
+        with pytest.raises(DomainError, match=rf"\]: {y0}$"):
+            solve_stationary(spec, 0.01, grid=Grid(1.0, 51), y0=y0)
+
+    def test_y0_on_the_domain_edge_accepted(self):
+        # the reflected LDPC domain is [-1, 0]; y0 = -1 is a valid start
+        spec = ReflectedPotential(LdpcBec(0.45, 3, 6))
+        sol = solve_stationary(spec, 0.01, grid=Grid(1.0, 51), y0=-1.0)
+        assert sol.steady
 
     def test_single_interior_node_hits_slope_floor(self):
         with pytest.raises(ValueError, match="5 grid nodes"):
@@ -305,6 +330,10 @@ class TestQuadratureReconstruct:
         prof = quadrature_reconstruct(spec, 0.01, 0.3, y_plus, grid=Grid(1.0, 101))
         assert np.allclose(prof.values, y_plus)
 
+    def test_center_above_boundary_rejected(self):
+        with pytest.raises(ValueError, match="must not exceed the boundary value"):
+            quadrature_reconstruct(DoubleWell(-0.01), 0.01, 0.0, 1.5)
+
     def test_infeasible_interior_zero(self, fig2_pot):
         # C too small: U + C dips below zero before reaching the boundary value
         spec, sol = fig2_pot
@@ -370,12 +399,19 @@ class TestClassifyProfile:
         _, sol = fig2_pot
         prof = sol.profile
         y_plus = prof.boundary_value
-        assert classify_profile(prof, y_plus) == POT_SHAPED
+        assert classify_profile(prof) == POT_SHAPED
         wiggled = prof.values.copy()
         wiggled[20:40] += 0.5 * np.sin(np.linspace(0.0, 2.0 * np.pi, 20))
         for vals in (wiggled, wiggled[::-1]):
             bumpy = Profile(prof.grid, vals.copy(), boundary_value=y_plus)
-            assert classify_profile(bumpy, y_plus) == OTHER
+            assert classify_profile(bumpy) == OTHER
+
+    def test_measured_against_the_boundary_value(self):
+        grid = Grid(1.0, 51)
+        assert classify_profile(Profile.uniform(grid, 0.3)) == UNIFORM
+        # the same interior pinned higher dips below its ends
+        pinned = Profile.uniform(grid, 0.3, boundary_value=0.9)
+        assert classify_profile(pinned) == POT_SHAPED
 
 
 class TestNewtonPolish:
@@ -435,6 +471,12 @@ class TestRefineProfile:
         with pytest.raises(ValueError):
             refine_profile(sol, spec, 0.0, Grid(1.0, 401))
 
+    def test_failed_polish_raises_not_steady(self, fig2_pot, monkeypatch):
+        monkeypatch.setattr(stationary, "_newton_polish", lambda *args: False)
+        spec, sol = fig2_pot
+        with pytest.raises(NotSteadyError, match=r"refined grid \(n=401\)"):
+            refine_profile(sol, spec, 0.01, Grid(1.0, 401))
+
     def test_rejects_grid_below_five_nodes_before_polishing(self, fig2_pot, monkeypatch):
         def no_polish(*args, **kwargs):
             raise AssertionError("polished a grid that is then rejected")
@@ -454,6 +496,15 @@ class TestVerifyNoPotShape:
         assert report.orientation == "standard"
         assert len(report.cells) == 9
         assert all(c.classification == UNIFORM for c in report.cells)
+
+    def test_monostable_starts_from_y_minus_only(self):
+        spec = DoubleWell(0.5)  # past the fold: one stable point
+        pts = find_stationary_points(spec)
+        assert not pts.is_bistable
+        report = verify_no_pot_shape(spec, [0.01], grid=Grid(1.0, 51))
+        assert [c.y0 for c in report.cells] == [pts.y_minus]
+        assert report.cells[0].classification == UNIFORM
+        assert report.passed
 
     def test_metastable_boundary_rejected(self):
         with pytest.raises(HypothesisError):
