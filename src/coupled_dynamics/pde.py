@@ -9,7 +9,7 @@ which needs only the end state, takes linearly implicit Euler steps whose
 size follows the local error through the transient, then finishes the linear
 tail by Newton on the same 3-point system; the time it reports is the model
 time of its last accepted step plus the tail's extrapolated decay time
-ln(max|r| / tol) / lambda_1, lambda_1 the slowest decay rate there.
+ln(max|r| / tol) / lambda_1 (lambda_1 the slowest decay rate), at most t_end.
 """
 from __future__ import annotations
 
@@ -35,12 +35,13 @@ CLIP_MIN = 1e-8
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite state encountered during time integration."""
+    """Non-finite state in time integration; `node` is the grid index of the
+    first non-finite entry of the interior residual r at model time t."""
 
-    def __init__(self, t: float, node: int):
-        super().__init__(f"state diverged at t={t:.6g}, node {node}")
+    def __init__(self, t: float, r: np.ndarray):
         self.t = t
-        self.node = node
+        self.node = int(np.flatnonzero(~np.isfinite(r))[0]) + 1
+        super().__init__(f"state diverged at t={t:.6g}, node {self.node}")
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,6 @@ class ConstantCoupling(Coupling):
     def derivative(self, y):
         return np.zeros_like(np.asarray(y, dtype=float))
 
-    def max_over(self, domain):
-        return self.d
-
 
 @dataclass(frozen=True)
 class AffineCoupling(Coupling):
@@ -204,8 +202,8 @@ def integrate(
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     keep_snapshots: bool = True,
 ) -> TrajectoryRecord:
-    """Explicit-Euler evolution with Dirichlet re-imposition each step, at
-    the step `stable_dt` = CFL_SAFETY dx^2 / max D, inside the diffusion
+    """Explicit-Euler evolution of the interior nodes, the pinned ends held,
+    at the step `stable_dt` = CFL_SAFETY dx^2 / max D, inside the diffusion
     stability bound 0.5 dx^2 / max D.
 
     Exits early with steady=True once max|rhs| < steady_tol.  t_end < 0 is
@@ -216,8 +214,7 @@ def integrate(
     grid = profile0.grid
     coupling.validate_positive(spec.domain)
     dt = stable_dt(grid, spec, coupling)
-    bv = profile0.boundary_value
-    work = Profile(grid, profile0.values.copy(), bv)
+    work = profile0.copy()
     y = work.values
 
     snapshots: list = []
@@ -237,14 +234,11 @@ def integrate(
         r = _interior_rhs(y, dx, gradient, coupling)
         residual = float(np.abs(r).max())
         if not math.isfinite(residual):
-            node = int(np.flatnonzero(~np.isfinite(r))[0]) + 1
-            raise DivergenceError(t, node)
+            raise DivergenceError(t, r)
         if residual < steady_tol:
             steady = True
             break
         y[1:-1] += dt * r
-        y[0] = bv
-        y[-1] = bv
         t += dt
         if (step + 1) % snapshot_every == 0:
             record(t)
@@ -264,10 +258,9 @@ def integrate(
 
 
 def _reaction_lipschitz(spec: Potential) -> float:
-    """max|U''| over spec.domain, from 513 samples of the gradient."""
+    """max|U''| of the exact `curvature_unchecked` at 513 points of the domain."""
     ys = np.linspace(*spec.domain, 513)
-    g = np.asarray(spec.gradient(ys))
-    return float(np.max(np.abs(np.gradient(g, ys))))
+    return float(np.max(np.abs(spec.curvature_unchecked(ys))))
 
 
 def _newton_tail(
@@ -336,14 +329,13 @@ def _relax(
 
     Once max|r| < RELAX_HANDOVER_TOL the linear tail is finished by Newton
     (`_newton_tail`, pseudo-transient continuation with tau -> infinity;
-    Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  Its fixed point is
-    accepted if stable, reached monotonically, and if the model time t +
-    ln(max|r| / steady_tol) / lambda_1, at which the tail's slowest mode
-    (rate lambda_1) would decay to steady_tol, is within t_end; that is the
-    returned t.  Otherwise stepping goes on, and Newton is retried once
-    max|r| has fallen tenfold.  Stops once max|r| < steady_tol; returns
-    (final profile, max|r|, t).  Its fixed points are exactly those of the
-    3-point stencil.
+    Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  A stable fixed point
+    reached monotonically ends the run, at the model time t +
+    ln(max|r| / steady_tol) / lambda_1 when the tail's slowest mode (rate
+    lambda_1) would decay to steady_tol, or at t_end if that comes first.
+    Otherwise stepping goes on, and Newton is retried once max|r| has fallen
+    tenfold.  Stops once max|r| < steady_tol; returns (final profile, max|r|,
+    t).  Its fixed points are exactly those of the 3-point stencil.
     """
     from . import _lapack
 
@@ -366,17 +358,15 @@ def _relax(
     while True:
         residual = float(np.abs(r).max())
         if not math.isfinite(residual):
-            node = int(np.flatnonzero(~np.isfinite(r))[0]) + 1
-            raise DivergenceError(t, node)
+            raise DivergenceError(t, r)
         if residual < steady_tol or t >= t_end:
             return work, residual, t
         if residual < newton_below:
             tail = _newton_tail(y, r, u2, dx, spec, d, steady_tol)
             if tail is not None:
+                y[1:-1] = tail[0]
                 t_tail = t + math.log(residual / steady_tol) / tail[2]
-                if t_tail <= t_end:
-                    y[1:-1] = tail[0]
-                    return work, tail[1], t_tail
+                return work, tail[1], min(t_tail, t_end)
             newton_below = 0.1 * residual
         last = t + tau >= t_end
         step = t_end - t if last else tau
@@ -444,11 +434,8 @@ def simulate_discrete_chain(
         r += k * (y[2:] - 2.0 * y[1:-1] + y[:-2])
         res = float(np.abs(r).max())
         if not math.isfinite(res):
-            node = int(np.flatnonzero(~np.isfinite(r))[0]) + 1
-            raise DivergenceError(step * dt, node)
+            raise DivergenceError(step * dt, r)
         if res < DEFAULT_STEADY_TOL:
             break
         y[1:-1] += dt * r
-        y[0] = y_plus
-        y[-1] = y_plus
     return y

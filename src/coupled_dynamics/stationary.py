@@ -164,13 +164,11 @@ def _solution(
     )
 
 
-def _newton_polish(
-    profile: Profile, spec: Potential, d: float, tol: float, max_iter: int = 30
-) -> bool:
-    """Damped Newton on the fourth-order (Numerov) BVP, in place; returns True
-    when the residual falls below tol.  The start, like every trial, is
-    clipped into the domain: a relaxation that ends on a fixed point at the
-    domain edge may overshoot it by a few ulps."""
+def _newton_polish(profile: Profile, spec: Potential, d: float, tol: float) -> bool:
+    """Damped Newton on the fourth-order (Numerov) BVP, in place, at most 30
+    iterations; returns True when the residual falls below tol.  The start,
+    like every trial, is clipped into the domain: a relaxation that ends on a
+    fixed point at the domain edge may overshoot it by a few ulps."""
     from . import _lapack
 
     y = profile.values
@@ -178,7 +176,7 @@ def _newton_polish(
     lo, hi = spec.domain
     y[1:-1] = np.clip(y[1:-1], lo, hi)
     res, jac = _numerov_system(y, spec, d, dx)
-    for _ in range(max_iter):
+    for _ in range(30):
         norm = float(np.max(np.abs(res)))
         if norm < tol:
             return True
@@ -219,8 +217,8 @@ def solve_stationary(
     DEFAULT_STEADY_TOL or the model time t_cap is reached.  `t_exit` is the
     model time of the last accepted step plus, after a Newton finish, the
     tail's extrapolated decay time ln(residual / DEFAULT_STEADY_TOL) /
-    lambda_1, lambda_1 the slowest decay rate at the fixed point; it is
-    t_cap exactly when capped.  Every relaxed profile whose residual is below
+    lambda_1, lambda_1 the slowest decay rate at the fixed point, and never
+    more than t_cap.  Every relaxed profile whose residual is below
     RELAX_HANDOVER_TOL (steady runs, and runs that hit t_cap already close)
     is then Newton-polished on the fourth-order (Numerov) discretization
     until its residual is below DEFAULT_STEADY_TOL.  `residual` reports the

@@ -184,6 +184,15 @@ class TestStationary:
         assert code == 1
         assert err.startswith("error:") and "'d'" in err
 
+    def test_config_unknown_family_exits_1(self, capsys, tmp_path):
+        # a config value bypasses argparse's choices
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "xx"}))
+        code, out, err = run(capsys, "stationary", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: unknown family")
+
 
 class TestSimulate:
     def test_already_stationary(self, capsys, tmp_path):

@@ -58,6 +58,13 @@ class TestRunDe:
         traj = run_de(spec, y0=1.0, tol=1e-14)
         assert abs(spec.gradient(traj.fixed_point)) < 1e-8
 
+    @pytest.mark.parametrize(
+        "kwargs, match", [({"y0": 1.5}, "y0 must be in"), ({"max_iter": 0}, "max_iter")]
+    )
+    def test_bad_arguments_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            run_de(LdpcBec(0.45, 3, 6), **kwargs)
+
 
 class TestBpThreshold:
     def test_regular_3_6(self):

@@ -7,6 +7,8 @@ from coupled_dynamics.pde import (
     DivergenceError,
     Grid,
     Profile,
+    _reaction_lipschitz,
+    _relax,
     energy,
     integrate,
     rhs,
@@ -16,6 +18,8 @@ from coupled_dynamics.pde import (
 from coupled_dynamics.potentials import (
     DomainError,
     DoubleWell,
+    LdpcBec,
+    ReflectedPotential,
     find_stationary_points,
 )
 
@@ -227,6 +231,20 @@ class TestIntegrate:
             with pytest.raises(DivergenceError):
                 integrate(prof, spec, ConstantCoupling(0.01), t_end=10.0)
 
+    def test_divergence_names_first_non_finite_node(self):
+        # a NaN at index 7 makes the stencil of node 6 the first non-finite one
+        prof = Profile.uniform(Grid(1.0, 51), -1.0, boundary_value=1.0)
+        prof.values[7] = np.nan
+        spec = DoubleWell(0.0)
+        for run in (
+            lambda: _relax(prof, spec, 0.01, 10.0, 1e-9),
+            lambda: integrate(prof, spec, ConstantCoupling(0.01), t_end=10.0),
+        ):
+            with pytest.raises(DivergenceError) as err:
+                run()
+            assert err.value.node == 6
+            assert err.value.t == 0.0
+
     def test_auto_dt(self):
         g = Grid(1.0, 201)
         assert stable_dt(g, DoubleWell(0.0), ConstantCoupling(0.01)) == pytest.approx(
@@ -257,6 +275,19 @@ class TestEnergy:
         )
 
 
+class TestReactionLipschitz:
+    @pytest.mark.parametrize("h", [-0.1, 0.0, 0.2])
+    def test_double_well(self, h):
+        # U'' = 3 y^2 - 1 peaks at the domain ends y = +-2
+        assert _reaction_lipschitz(DoubleWell(h)) == 11.0
+
+    def test_ldpc(self):
+        # U''(0) = 1 for (3, 6) at eps = 0.45, and the mirror keeps max|U''|
+        spec = LdpcBec(0.45, 3, 6)
+        assert _reaction_lipschitz(spec) == 1.0
+        assert _reaction_lipschitz(ReflectedPotential(spec)) == 1.0
+
+
 class TestDiscreteChain:
     def test_boundary_domination(self):
         spec = DoubleWell(0.01)
@@ -281,3 +312,8 @@ class TestDiscreteChain:
     def test_rejects_bad_coupling(self, d):
         with pytest.raises(ValueError, match="coupling constant must be non-negative"):
             simulate_discrete_chain(11, DoubleWell(0.01), d, -1.0, t_end=10.0)
+
+    def test_divergence_names_first_interior_node(self):
+        with pytest.raises(DivergenceError) as err:
+            simulate_discrete_chain(5, DoubleWell(0.0), 0.01, float("nan"), 1.0)
+        assert err.value.node == 1

@@ -146,24 +146,19 @@ class TestRelaxation:
         assert sol.classification == POT_SHAPED
         assert len(calls) < 100
 
-    def test_tail_past_t_end_keeps_stepping(self, monkeypatch):
+    def test_tail_past_t_end_ends_at_t_end(self):
         # the fig-2 pot tail converges under Newton well before t = 300, but
-        # its extrapolated steady time (about 326) is past t_end
-        tails = []
-        newton_tail = pde._newton_tail
-
-        def recorded(*args):
-            tails.append(newton_tail(*args))
-            return tails[-1]
-
-        monkeypatch.setattr(pde, "_newton_tail", recorded)
+        # its extrapolated steady time (about 326) is past t_end: the fixed
+        # point found still ends the run, at t_end
         spec = DoubleWell(-0.01)
         pts = find_stationary_points(spec)
         start = Profile.uniform(Grid(1.0, 201), pts.y_minus, boundary_value=pts.y_plus)
-        _, residual, t = pde._relax(start, spec, 0.01, 300.0, DEFAULT_STEADY_TOL)
-        assert any(tail is not None for tail in tails)
+        capped, residual, t = pde._relax(start, spec, 0.01, 300.0, DEFAULT_STEADY_TOL)
         assert t == 300.0
-        assert residual >= DEFAULT_STEADY_TOL
+        assert residual < DEFAULT_STEADY_TOL
+        free, _, t_free = pde._relax(start, spec, 0.01, 2e4, DEFAULT_STEADY_TOL)
+        assert t_free == pytest.approx(326.03, abs=0.01)
+        assert np.array_equal(capped.values, free.values)
 
     def test_steady_relaxations_are_stable(self):
         # the 35 cells of the benchmark's sweep box: every steady 3-point
@@ -342,6 +337,14 @@ class TestQuadratureReconstruct:
             quadrature_reconstruct(
                 spec, 0.01, c_bad, float(sol.profile.values[100]), grid=Grid(1.0, 201)
             )
+
+    def test_boundary_global_minimum_blocks_the_branch(self):
+        # h > 0 makes the boundary point the unique global minimum: from the
+        # other well with C = -U(y_minus), U + C falls below zero before y_b
+        spec = DoubleWell(0.05)
+        y_minus = find_stationary_points(spec).y_minus
+        with pytest.raises(ReconstructionInfeasibleError, match="strictly inside"):
+            quadrature_reconstruct(spec, 0.01, -spec.potential(y_minus), y_minus)
 
     @pytest.mark.parametrize("d", [0.01, 0.05])
     @pytest.mark.parametrize("n", [201, 801])
