@@ -26,9 +26,11 @@ DEFAULT_STEADY_TOL = 1e-9
 DEFAULT_SNAPSHOT_EVERY = 100
 # Largest local error, relative to the step, that a relaxation step accepts.
 RELAX_ERR_TOL = 0.1
-# Stencil residual below which a relaxation is close enough to its fixed
-# point for Newton: `_relax` finishes its tail there, and `solve_stationary`
-# polishes a run capped there.
+# Stencil residual below which `_relax` first tries to finish its linear tail
+# by Newton (`_newton_tail`), and retries after every tenfold fall.
+NEWTON_TAIL_TOL = 1e-2
+# Stencil residual below which `solve_stationary` Newton-polishes a relaxed
+# profile, a run capped at t_cap included.
 RELAX_HANDOVER_TOL = 1e-4
 # Floor of AffineCoupling's diffusivity, which keeps it positive.
 CLIP_MIN = 1e-8
@@ -206,8 +208,9 @@ def integrate(
     at the step `stable_dt` = CFL_SAFETY dx^2 / max D, inside the diffusion
     stability bound 0.5 dx^2 / max D.
 
-    Exits early with steady=True once max|rhs| < steady_tol.  t_end < 0 is
-    rejected; t_end = 0 takes no step.
+    Exits early with steady=True once max|rhs| < steady_tol.  The last step
+    is clipped, so a run that is not steady ends at t_end exactly.  t_end < 0
+    is rejected; t_end = 0 takes no step.
     """
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
@@ -230,7 +233,9 @@ def integrate(
     t = 0.0
     steady = False
     record(0.0)
-    for step in range(math.ceil(t_end / dt)):
+    # a t_end within 1e-9 steps of a whole number of steps adds no sliver step
+    n_steps = math.ceil(t_end / dt - 1e-9)
+    for step in range(n_steps):
         r = _interior_rhs(y, dx, gradient, coupling)
         residual = float(np.abs(r).max())
         if not math.isfinite(residual):
@@ -238,8 +243,9 @@ def integrate(
         if residual < steady_tol:
             steady = True
             break
-        y[1:-1] += dt * r
-        t += dt
+        last = step == n_steps - 1
+        y[1:-1] += (t_end - t if last else dt) * r
+        t = t_end if last else t + dt
         if (step + 1) % snapshot_every == 0:
             record(t)
     else:
@@ -272,12 +278,13 @@ def _newton_tail(
     d: float,
     steady_tol: float,
 ) -> Optional[tuple[np.ndarray, float, float]]:
-    """Newton on the 3-point system from y (residual r, U'' = u2): the
-    linearly implicit step with tau = infinity, (-J) delta = r, at most three
-    times.  Returns (interior nodes, max|r|, lambda_1) when the residual
-    falls below steady_tol at a stable fixed point (lambda_1, the smallest
-    eigenvalue of -J there, > 0) reached by a correction of one sign (to
-    1e-12), as the Perron-mode tail of a monotone flow is; else None."""
+    """Newton on the 3-point system from y (residual r, U'' = u2), which
+    `_relax` tries once max|r| < NEWTON_TAIL_TOL: the linearly implicit step
+    with tau = infinity, (-J) delta = r, at most three times.  Returns
+    (interior nodes, max|r|, lambda_1) when the residual falls below
+    steady_tol at a stable fixed point (lambda_1, the smallest eigenvalue of
+    -J there, > 0) reached by a correction of one sign (to 1e-12), as the
+    Perron-mode tail of a monotone flow is; else None."""
     from . import _lapack
 
     gradient = spec.gradient_unchecked
@@ -321,13 +328,15 @@ def _relax(
     - diag U''(y) its Jacobian, U'' the family's exact `curvature_unchecked`,
     solved by LAPACK dgtsv (I - tau J can be indefinite).  A step is
     accepted when (tau/2) max|r(y + delta) - r(y)| / max|delta| <=
-    RELAX_ERR_TOL; tau then changes by a factor in [0.2, 2] but never drops
-    below tau0 = 1/(1 + L/2), L = max|U''|, and a step of at most tau0 is
-    always accepted, so a non-finite state there raises DivergenceError.
+    RELAX_ERR_TOL; tau then changes by a factor in [0.2, 2], in [0.2, 1] on
+    the step accepted right after a rejection (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4), but never drops below tau0 = 1/(1 + L/2), L =
+    max|U''|, and a step of at most tau0 is always accepted, so a non-finite
+    state there raises DivergenceError.
     The clock advances by the accepted tau and the last step is clipped, so
     t_end is model time and a capped run returns t == t_end.
 
-    Once max|r| < RELAX_HANDOVER_TOL the linear tail is finished by Newton
+    Once max|r| < NEWTON_TAIL_TOL the linear tail is tried by Newton
     (`_newton_tail`, pseudo-transient continuation with tau -> infinity;
     Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  A stable fixed point
     reached monotonically ends the run, at the model time t +
@@ -351,7 +360,8 @@ def _relax(
     tau0 = 1.0 / (1.0 + 0.5 * _reaction_lipschitz(spec))
     tau = tau0
     t = 0.0
-    newton_below = RELAX_HANDOVER_TOL
+    newton_below = NEWTON_TAIL_TOL
+    rejected = False
     r = _interior_rhs(y, dx, gradient, coupling)
     u2 = curvature(y[1:-1])
     diag = 2.0 * k + u2
@@ -382,14 +392,17 @@ def _relax(
         err = 0.5 * step * change / float(np.abs(delta).max())
         if not math.isfinite(err):
             err = math.inf
-        if step <= tau0 or err <= RELAX_ERR_TOL:
+        accept = step <= tau0 or err <= RELAX_ERR_TOL
+        if accept:
             y[1:-1] = trial[1:-1]
             r = r_trial
             u2 = curvature(y[1:-1])
             diag = 2.0 * k + u2
             t = t_end if last else t + step
         grow = 0.9 * math.sqrt(RELAX_ERR_TOL / err) if err > 0.0 else 2.0
-        tau = max(tau0, step * min(2.0, max(0.2, grow)))
+        cap = 1.0 if rejected else 2.0  # grow < 1 on a rejected step anyway
+        tau = max(tau0, step * min(cap, max(0.2, grow)))
+        rejected = not accept
 
 
 def simulate_discrete_chain(

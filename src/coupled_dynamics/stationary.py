@@ -166,9 +166,11 @@ def _solution(
 
 def _newton_polish(profile: Profile, spec: Potential, d: float, tol: float) -> bool:
     """Damped Newton on the fourth-order (Numerov) BVP, in place, at most 30
-    iterations; returns True when the residual falls below tol.  The start,
-    like every trial, is clipped into the domain: a relaxation that ends on a
-    fixed point at the domain edge may overshoot it by a few ulps."""
+    iterations; returns True when the residual falls below tol.  Each
+    iteration halves lambda from min(1, twice the last accepted lambda),
+    the first from 1, until the residual falls.  The start, like every
+    trial, is clipped into the domain: a relaxation that ends on a fixed
+    point at the domain edge may overshoot it by a few ulps."""
     from . import _lapack
 
     y = profile.values
@@ -176,6 +178,7 @@ def _newton_polish(profile: Profile, spec: Potential, d: float, tol: float) -> b
     lo, hi = spec.domain
     y[1:-1] = np.clip(y[1:-1], lo, hi)
     res, jac = _numerov_system(y, spec, d, dx)
+    lam = 0.5  # the first iteration starts from lambda = 1
     for _ in range(30):
         norm = float(np.max(np.abs(res)))
         if norm < tol:
@@ -184,7 +187,7 @@ def _newton_polish(profile: Profile, spec: Potential, d: float, tol: float) -> b
             step = _lapack.solve_banded((1, 1), jac, -res)
         except np.linalg.LinAlgError:
             return False
-        lam = 1.0
+        lam = min(1.0, 2.0 * lam)
         while lam > 1e-4:
             trial = y.copy()
             trial[1:-1] = np.clip(y[1:-1] + lam * step, lo, hi)

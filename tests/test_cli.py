@@ -207,6 +207,17 @@ class TestSimulate:
         assert profiles
         assert profiles[0].read_text().splitlines()[0] == "x,y"
 
+    def test_run_ends_at_t_end(self, capsys, tmp_path):
+        # dt = 0.064: the 782nd Euler step is clipped to end at t = 50
+        code, out, _ = run(
+            capsys, "simulate", "--h=-0.01", "--n", "51", "--t-end", "50",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert out.split()[-1] == "t=50"
+        assert (tmp_path / "profile_t50.000000.csv").exists()
+        assert not list(tmp_path.glob("profile_t50.0[1-9]*.csv"))
+
     def test_bad_coupling_exits_1(self, capsys):
         code, _, err = run(capsys, "simulate", "--h", "0.01", "--d", "-1")
         assert code == 1

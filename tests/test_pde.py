@@ -217,6 +217,27 @@ class TestIntegrate:
             np.max(np.abs(rhs(prof, spec, coupling))), rel=1e-12
         )
 
+    def test_last_step_clipped_to_t_end(self):
+        # dt = 0.064 on Grid(1, 51): 781.25 steps, the last one a quarter step
+        pts = find_stationary_points(DoubleWell(-0.01))
+        prof = Profile.uniform(Grid(1.0, 51), pts.y_minus, boundary_value=pts.y_plus)
+        rec = integrate(prof, DoubleWell(-0.01), ConstantCoupling(0.01), t_end=50.0)
+        assert not rec.steady
+        assert rec.t_final == 50.0
+
+    def test_whole_number_of_steps_takes_no_sliver(self):
+        # on Grid(1, 21) t_end = 11 dt divides to just above 11 steps: eleven
+        # steps, one gradient call each, and the final residual's
+        spec, calls = _counting_double_well(-0.01)
+        pts = find_stationary_points(spec)
+        prof = Profile.uniform(Grid(1.0, 21), pts.y_minus, boundary_value=pts.y_plus)
+        coupling = ConstantCoupling(0.01)
+        t_end = 11 * stable_dt(prof.grid, spec, coupling)
+        assert t_end / stable_dt(prof.grid, spec, coupling) > 11
+        rec = integrate(prof, spec, coupling, t_end=t_end)
+        assert rec.t_final == t_end
+        assert len(calls) == 12
+
     def test_negative_t_end_rejected(self):
         prof = Profile.uniform(Grid(1.0, 21), -1.0, boundary_value=1.0)
         with pytest.raises(ValueError, match="t_end"):
