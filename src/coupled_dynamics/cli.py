@@ -36,10 +36,15 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _floats(value) -> list[float]:
-    """A comma-list flag or config value: "a,b", a JSON list, or one number."""
+    """A comma-list flag or config value: "a,b", a JSON list, or one number;
+    ValueError when it holds no number."""
     if isinstance(value, list):
-        return [float(v) for v in value]
-    return [float(tok) for tok in str(value).split(",") if tok != ""]
+        values = [float(v) for v in value]
+    else:
+        values = [float(tok) for tok in str(value).split(",") if tok != ""]
+    if not values:
+        raise ValueError(f"expected at least one number, got {value!r}")
+    return values
 
 
 def _merge(args: argparse.Namespace, defaults: dict) -> dict:
@@ -90,7 +95,7 @@ def _resolve_y0(token, pts: potentials.StationaryPointSet) -> float:
 
 
 def cmd_de(args: argparse.Namespace) -> int:
-    p = _merge(args, {"y0": 1.0, "max_iter": 100_000})
+    p = _merge(args, {"y0": 1.0, "max_iter": de_mod.DEFAULT_MAX_ITER})
     dv, dc = int(p["dv"]), int(p["dc"])
     if p.get("threshold"):
         value = de_mod.bp_threshold(dv, dc, tol=float(p.get("tol", 1e-4)))
@@ -117,10 +122,9 @@ def cmd_de(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    p = _merge(
-        args,
-        {**_SPEC_DEFAULTS, "y0": "minus", "t_end": 2e4, "steady_tol": 1e-9, "snapshots": 100},
-    )
+    p = _merge(args, {**_SPEC_DEFAULTS, "y0": "minus", "t_end": 2e4,
+                      "steady_tol": pde.DEFAULT_STEADY_TOL,
+                      "snapshots": pde.DEFAULT_SNAPSHOT_EVERY})
     spec = _make_spec(p)
     grid = pde.Grid(float(p["xmax"]), int(p["n"]))
     pts = potentials.find_stationary_points(spec)
@@ -136,7 +140,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         snapshot_every=int(p["snapshots"]),
         keep_snapshots=bool(out),
     )
-    classification = stationary.classify_profile(record.final)
+    # an unsteady end is Other whatever its shape, as in `solve_stationary`
+    classification = (
+        stationary.classify_profile(record.final) if record.steady else stationary.OTHER
+    )
     print(f"classification {classification} residual {_fmt(record.residual)}"
           f" steady={record.steady} t={_fmt(record.t_final)}")
     if out:
@@ -203,9 +210,11 @@ def cmd_bifurcation(args: argparse.Namespace) -> int:
     curve = None
     if p.get("curve"):  # first: a bad tol or d fails before the sweep's work
         bracket = _floats(p["h_bracket"]) if "h_bracket" in p else [-0.3, -1e-3]
+        if len(bracket) != 2:
+            raise ValueError(f"--h-bracket takes two values, got {len(bracket)}")
         curve = bif.critical_curve(
             d_values,
-            h_bracket=(bracket[0], bracket[1]),
+            h_bracket=tuple(bracket),
             tol=float(p["tol"]),
             grid=grid,
         )

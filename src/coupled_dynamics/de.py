@@ -21,7 +21,10 @@ DEFAULT_MAX_ITER = 100_000
 class DeTrajectory:
     iterates: np.ndarray
     converged: bool
-    fixed_point: float
+
+    @property
+    def fixed_point(self) -> float:
+        return float(self.iterates[-1])
 
 
 def de_step(spec: LdpcBec, y: float) -> float:
@@ -43,17 +46,11 @@ def run_de(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     iterates = [y0]
-    y = y0
-    converged = False
     for _ in range(max_iter):
-        y_next = de_step(spec, y)
-        iterates.append(y_next)
-        if abs(y_next - y) < tol:
-            converged = True
-            y = y_next
-            break
-        y = y_next
-    return DeTrajectory(np.array(iterates), converged, float(y))
+        iterates.append(de_step(spec, iterates[-1]))
+        if abs(iterates[-1] - iterates[-2]) < tol:
+            return DeTrajectory(np.array(iterates), True)
+    return DeTrajectory(np.array(iterates), False)
 
 
 def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:

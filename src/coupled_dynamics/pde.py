@@ -3,8 +3,8 @@
 The field obeys  y_t = -U'(y) - (1/2) D'(y) y_x^2 + (D(y) y_x)_x  on
 (-x_max, x_max) with both ends pinned (Dirichlet).  Space is discretized with
 second-order central differences in flux form.  `integrate` steps the
-trajectory with explicit Euler under a CFL safety factor and tracks the
-free-energy functional H = int [U(y) + D(y)/2 * y_x^2] dx along it.  `_relax`,
+trajectory by explicit Euler at `stable_dt`, a CFL step that rejects D <= 0,
+and tracks the free energy H = int [U(y) + D(y)/2 * y_x^2] dx along it.  `_relax`,
 which needs only the end state, takes linearly implicit Euler steps whose
 size follows the local error through the transient, then finishes the linear
 tail by Newton on the same 3-point system; the time it reports is the model
@@ -29,9 +29,6 @@ RELAX_ERR_TOL = 0.1
 # Stencil residual below which `_relax` first tries to finish its linear tail
 # by Newton (`_newton_tail`), and retries after every tenfold fall.
 NEWTON_TAIL_TOL = 1e-2
-# Stencil residual below which `solve_stationary` Newton-polishes a relaxed
-# profile, a run capped at t_cap included.
-RELAX_HANDOVER_TOL = 1e-4
 # Floor of AffineCoupling's diffusivity, which keeps it positive.
 CLIP_MIN = 1e-8
 
@@ -100,15 +97,6 @@ class Coupling:
 
     def derivative(self, y):
         raise NotImplementedError
-
-    def max_over(self, domain: tuple[float, float]) -> float:
-        ys = np.linspace(domain[0], domain[1], 513)
-        return float(np.max(self.diffusivity(ys)))
-
-    def validate_positive(self, domain: tuple[float, float]):
-        ys = np.linspace(domain[0], domain[1], 513)
-        if np.min(self.diffusivity(ys)) <= 0:
-            raise ValueError("coupling function must be positive over the domain")
 
 
 def check_coupling(d: float) -> None:
@@ -191,8 +179,12 @@ def energy(profile: Profile, spec: Potential, coupling: Coupling) -> float:
 
 
 def stable_dt(grid: Grid, spec: Potential, coupling: Coupling) -> float:
-    """Auto time step: CFL_SAFETY * dx^2 / max D over the potential domain."""
-    return CFL_SAFETY * grid.dx**2 / coupling.max_over(spec.domain)
+    """Auto time step: CFL_SAFETY * dx^2 / max D, with D sampled at 513
+    points of the potential domain; ValueError unless D > 0 at all of them."""
+    diffusivity = coupling.diffusivity(np.linspace(*spec.domain, 513))
+    if np.min(diffusivity) <= 0:
+        raise ValueError("coupling function must be positive over the domain")
+    return CFL_SAFETY * grid.dx**2 / float(np.max(diffusivity))
 
 
 def integrate(
@@ -209,13 +201,13 @@ def integrate(
     stability bound 0.5 dx^2 / max D.
 
     Exits early with steady=True once max|rhs| < steady_tol.  The last step
-    is clipped, so a run that is not steady ends at t_end exactly.  t_end < 0
-    is rejected; t_end = 0 takes no step.
+    is clipped, so a run that is not steady ends at t_end exactly.  t_end < 0,
+    and a coupling that `stable_dt` rejects, raise ValueError before any
+    step; t_end = 0 takes no step.
     """
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
     grid = profile0.grid
-    coupling.validate_positive(spec.domain)
     dt = stable_dt(grid, spec, coupling)
     work = profile0.copy()
     y = work.values

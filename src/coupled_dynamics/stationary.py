@@ -8,12 +8,13 @@ followed by a Newton polish on the fourth-order Numerov discretization
 
     D (y[i+1] - 2 y[i] + y[i-1]) / dx^2 = (U'[i+1] + 10 U'[i] + U'[i-1]) / 12,
 
-whose residual is the one every `residual` in this module measures.  It
-classifies pot-shaped versus uniform outcomes, checks the first integral
-(D/2) y'^2 - U(y) with fourth-order slopes, reconstructs profiles by
-quadrature from the first-integral constant, and runs the sweep that
-numerically confirms the absence of pot-shaped solutions when the boundary
-point is the unique global minimum.
+whose residual is the one every `residual` in this module measures; the
+same polish re-converges a profile moved to a finer grid by linear
+interpolation.  It classifies pot-shaped versus uniform outcomes, checks the
+first integral (D/2) y'^2 - U(y) with fourth-order slopes, reconstructs
+profiles by quadrature from the first-integral constant, and runs the sweep
+that numerically confirms the absence of pot-shaped solutions when the
+boundary point is the unique global minimum.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ import numpy as np
 
 from .pde import (
     DEFAULT_STEADY_TOL,
-    RELAX_HANDOVER_TOL,
     Grid,
     Profile,
     _relax,
@@ -35,6 +35,9 @@ from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_
 POT_TOL = 1e-3
 SLOPE_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
+# Stencil residual below which `solve_stationary` Newton-polishes a relaxed
+# profile, a run capped at t_cap included.
+RELAX_HANDOVER_TOL = 1e-4
 # Nodes in theta of `quadrature_reconstruct`'s cosine-substituted quadrature,
 # and its slope-zero clamp, relative to the largest |U + C| on the range.
 _QUAD_NODES = 8001
@@ -250,24 +253,16 @@ def refine_profile(
 ) -> StationarySolution:
     """Transfer a stationary solution to a finer grid and re-converge it.
 
-    The profile is moved by cubic (four-node Lagrange) interpolation on the
-    uniform source grid and polished with the damped Newton pass on the
-    fourth-order (Numerov) discretization, which is far cheaper than relaxing
-    anew on fine grids; `residual` is the Numerov residual.  Intended
-    for grid-convergence studies.
+    The profile is moved by linear interpolation and polished with the
+    damped Newton pass on the fourth-order (Numerov) discretization, which
+    removes the transfer error and is far cheaper than relaxing anew on fine
+    grids; `residual` is the Numerov residual.  Intended for
+    grid-convergence studies.
     """
     check_coupling(d)
     _require_slope_nodes(grid.n_points)
     src = solution.profile
-    y = src.values
-    # each target node from the four source nodes j..j+3 around it, at
-    # offset u from node j; the stencil stays inside the source grid
-    t = (grid.x - src.grid.x[0]) / src.grid.dx
-    j = np.clip(np.floor(t).astype(int) - 1, 0, src.grid.n_points - 4)
-    u = t - j
-    u1, u2, u3 = u - 1.0, u - 2.0, u - 3.0
-    vals = (u * u3 * (u2 * y[j + 1] - u1 * y[j + 2]) / 2.0
-            + u1 * u2 * (u * y[j + 3] - u3 * y[j]) / 6.0)
+    vals = np.interp(grid.x, src.grid.x, src.values)
     new = Profile(grid, vals, boundary_value=src.boundary_value)
     if not _newton_polish(new, spec, d, DEFAULT_STEADY_TOL):
         raise NotSteadyError(
@@ -399,7 +394,10 @@ def verify_no_pot_shape(
     the stationary points.  LdpcBec specs are mirrored internally so that
     their optimal point y=0 becomes the largest stable point and the same
     pot-shape predicate applies; the report records the orientation used.
+    An empty d_list or y0_list raises ValueError before any solve.
     """
+    if len(d_list) == 0 or (y0_list is not None and len(y0_list) == 0):
+        raise ValueError("d_list and y0_list must not be empty")
     orientation = "standard"
     work = spec
     if isinstance(spec, LdpcBec):

@@ -218,6 +218,13 @@ class TestSimulate:
         assert (tmp_path / "profile_t50.000000.csv").exists()
         assert not list(tmp_path.glob("profile_t50.0[1-9]*.csv"))
 
+    def test_unsteady_end_is_other(self, capsys):
+        # the t = 50 end state is pot-shaped but still moving
+        code, out, _ = run(capsys, "simulate", "--h=-0.01", "--n", "51", "--t-end", "50")
+        assert code == 0
+        assert out.startswith("classification Other ")
+        assert out.rstrip().endswith(" steady=False t=50")
+
     def test_bad_coupling_exits_1(self, capsys):
         code, _, err = run(capsys, "simulate", "--h", "0.01", "--d", "-1")
         assert code == 1
@@ -254,6 +261,13 @@ class TestTheorem1:
         assert code == 1
         assert out == ""
         assert err == "error: state outside domain [-1.0, -0.0]: 0.5\n"
+
+    @pytest.mark.parametrize("flag", ["--d=", "--y0="])
+    def test_empty_list_exits_1(self, capsys, flag):
+        code, out, err = run(capsys, "theorem1", "--h", "0.05", flag)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_config_json_lists(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -314,6 +328,22 @@ class TestBifurcation:
         code, _, err = run(capsys, *self.ARGS, "--curve", "--tol", "nan")
         assert code == 1
         assert "tol must be positive" in err
+
+    def test_empty_d_list_exits_1(self, capsys):
+        code, out, err = run(capsys, "bifurcation", "--d=")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("bracket", ["-0.2", "-0.3,-0.1,-0.05"])
+    def test_h_bracket_needs_two_values(self, capsys, monkeypatch, bracket):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the bracket was checked")
+
+        monkeypatch.setattr(bif, "sweep", no_sweep)
+        code, _, err = run(capsys, *self.ARGS, "--curve", f"--h-bracket={bracket}")
+        assert code == 1
+        assert "--h-bracket takes two values" in err
 
     def test_config_h_bracket_json_list(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from coupled_dynamics import pde
 from coupled_dynamics.pde import (
     AffineCoupling,
     ConstantCoupling,
+    Coupling,
     DivergenceError,
     Grid,
     Profile,
@@ -265,6 +267,27 @@ class TestIntegrate:
                 run()
             assert err.value.node == 6
             assert err.value.t == 0.0
+
+    def test_user_coupling_not_positive_rejected_before_any_step(self, monkeypatch):
+        class Identity(Coupling):  # D(y) = y is negative on half the domain
+            def diffusivity(self, y):
+                return np.asarray(y, dtype=float)
+
+            def derivative(self, y):
+                return np.ones_like(np.asarray(y, dtype=float))
+
+        def no_step(*args):
+            raise AssertionError("stepped with a coupling that is not positive")
+
+        monkeypatch.setattr(pde, "_interior_rhs", no_step)
+        prof = Profile.uniform(Grid(1.0, 51), -1.0, boundary_value=1.0)
+        spec = DoubleWell(0.0)
+        for run in (
+            lambda: stable_dt(prof.grid, spec, Identity()),
+            lambda: integrate(prof, spec, Identity(), t_end=1.0),
+        ):
+            with pytest.raises(ValueError, match="must be positive over the domain"):
+                run()
 
     def test_auto_dt(self):
         g = Grid(1.0, 201)

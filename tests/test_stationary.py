@@ -469,35 +469,31 @@ class TestRefineProfile:
         # the transferred profile only shifts by the discretization error
         assert np.max(np.abs(fine.profile.values[::2] - sol.profile.values)) < 5e-4
 
-    def test_transfer_reproduces_a_cubic(self, monkeypatch):
-        # four-node Lagrange interpolation is exact on cubics, up to the ends
-        # of the source grid, where its stencil is clipped inside
-        monkeypatch.setattr(stationary, "_newton_polish", lambda *args: True)
-
-        def cubic(x):
-            return 0.1 + 0.2 * x**2 + 0.3 * (x**3 - x)
-
-        coarse = Grid(1.0, 101)
-        profile = Profile(coarse, cubic(coarse.x), boundary_value=cubic(1.0))
-        sol = StationarySolution(profile, OTHER, 0.0, 0.0, True, 0.0)
-        fine = refine_profile(sol, DoubleWell(-0.01), 0.01, Grid(1.0, 201))
-        np.testing.assert_allclose(
-            fine.profile.values, cubic(Grid(1.0, 201).x), rtol=0.0, atol=1e-12
-        )
-
-    def test_chain_matches_a_spline_transfer(self, fig2_pot):
-        # the fig-2 chain 201 -> 1601 ends where a cubic-spline transfer
-        # (scipy, test-side oracle) followed by the same polish ends
+    @pytest.mark.parametrize(
+        "spec, d, ns",
+        [
+            (DoubleWell(-0.01), 0.01, (201, 401, 801, 1601)),
+            (DoubleWell(-0.01), 0.001, (101, 201, 401)),
+            (DoubleWell(-0.01), 0.01, (101, 401)),
+            (ReflectedPotential(LdpcBec(0.5, 3, 6)), 0.01, (101, 201, 401)),
+        ],
+        ids=["fig2", "steep_front", "jump_101_401", "reflected_ldpc"],
+    )
+    def test_chain_matches_a_spline_transfer(self, spec, d, ns):
+        # a refine chain from linear transfers ends where cubic-spline
+        # transfers (scipy, test-side oracle) end, the oracle polished ten
+        # times tighter so that its own stopping error stays below the bound
         from scipy.interpolate import CubicSpline
 
-        spec, sol = fig2_pot
+        sol = solve_stationary(spec, d, grid=Grid(1.0, ns[0]))
         spline = sol.profile
-        for n in (401, 801, 1601):
+        for n in ns[1:]:
             grid = Grid(1.0, n)
-            sol = refine_profile(sol, spec, 0.01, grid)
+            sol = refine_profile(sol, spec, d, grid)
             moved = CubicSpline(spline.grid.x, spline.values)(grid.x)
             spline = Profile(grid, moved, boundary_value=spline.boundary_value)
-            assert stationary._newton_polish(spline, spec, 0.01, DEFAULT_STEADY_TOL)
+            assert stationary._newton_polish(spline, spec, d, 0.1 * DEFAULT_STEADY_TOL)
+        assert sol.classification == POT_SHAPED
         assert np.max(np.abs(sol.profile.values - spline.values)) < 1e-9
 
     def test_rejects_bad_coupling(self, fig2_pot):
@@ -539,6 +535,17 @@ class TestVerifyNoPotShape:
         assert [c.y0 for c in report.cells] == [pts.y_minus]
         assert report.cells[0].classification == UNIFORM
         assert report.passed
+
+    @pytest.mark.parametrize(
+        "lists", [{"d_list": []}, {"d_list": [0.01], "y0_list": []}], ids=["d", "y0"]
+    )
+    def test_empty_list_rejected_before_any_solve(self, lists, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the empty list was rejected")
+
+        monkeypatch.setattr(stationary, "solve_stationary", no_solve)
+        with pytest.raises(ValueError, match="must not be empty"):
+            verify_no_pot_shape(DoubleWell(0.05), **lists)
 
     def test_metastable_boundary_rejected(self):
         with pytest.raises(HypothesisError):
