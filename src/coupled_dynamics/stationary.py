@@ -35,9 +35,6 @@ from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_
 POT_TOL = 1e-3
 SLOPE_TOL = 1e-8
 RESIDUAL_TOL = 1e-6
-# Stencil residual below which `solve_stationary` Newton-polishes a relaxed
-# profile, a run capped at t_cap included.
-RELAX_HANDOVER_TOL = 1e-4
 # Nodes in theta of `quadrature_reconstruct`'s cosine-substituted quadrature,
 # and its slope-zero clamp, relative to the largest |U + C| on the range.
 _QUAD_NODES = 8001
@@ -170,10 +167,9 @@ def _solution(
 def _newton_polish(profile: Profile, spec: Potential, d: float, tol: float) -> bool:
     """Damped Newton on the fourth-order (Numerov) BVP, in place, at most 30
     iterations; returns True when the residual falls below tol.  Each
-    iteration halves lambda from min(1, twice the last accepted lambda),
-    the first from 1, until the residual falls.  The start, like every
-    trial, is clipped into the domain: a relaxation that ends on a fixed
-    point at the domain edge may overshoot it by a few ulps."""
+    iteration halves lambda from 1 until the residual falls.  The start,
+    like every trial, is clipped into the domain: a relaxation that ends on
+    a fixed point at the domain edge may overshoot it by a few ulps."""
     from . import _lapack
 
     y = profile.values
@@ -181,7 +177,6 @@ def _newton_polish(profile: Profile, spec: Potential, d: float, tol: float) -> b
     lo, hi = spec.domain
     y[1:-1] = np.clip(y[1:-1], lo, hi)
     res, jac = _numerov_system(y, spec, d, dx)
-    lam = 0.5  # the first iteration starts from lambda = 1
     for _ in range(30):
         norm = float(np.max(np.abs(res)))
         if norm < tol:
@@ -190,7 +185,7 @@ def _newton_polish(profile: Profile, spec: Potential, d: float, tol: float) -> b
             step = _lapack.solve_banded((1, 1), jac, -res)
         except np.linalg.LinAlgError:
             return False
-        lam = min(1.0, 2.0 * lam)
+        lam = 1.0
         while lam > 1e-4:
             trial = y.copy()
             trial[1:-1] = np.clip(y[1:-1] + lam * step, lo, hi)
@@ -224,13 +219,13 @@ def solve_stationary(
     model time of the last accepted step plus, after a Newton finish, the
     tail's extrapolated decay time ln(residual / DEFAULT_STEADY_TOL) /
     lambda_1, lambda_1 the slowest decay rate at the fixed point, and never
-    more than t_cap.  Every relaxed profile whose residual is below
-    RELAX_HANDOVER_TOL (steady runs, and runs that hit t_cap already close)
-    is then Newton-polished on the fourth-order (Numerov) discretization
-    until its residual is below DEFAULT_STEADY_TOL.  `residual` reports the
-    Numerov residual of the returned profile, and `steady` is True only when
-    the polish converged; otherwise the classification is Other.  The grid
-    needs at least 5 nodes, the floor of the fourth-order slopes.
+    more than t_cap.  A steady relaxation is then Newton-polished on the
+    fourth-order (Numerov) discretization until its residual is below
+    DEFAULT_STEADY_TOL; a run that hits t_cap is never polished.  `residual`
+    reports the Numerov residual of the returned profile, and `steady` is
+    True only when the polish converged; otherwise the classification is
+    Other.  The grid needs at least 5 nodes, the floor of the fourth-order
+    slopes.
     """
     check_coupling(d)
     if grid is None:
@@ -242,7 +237,7 @@ def solve_stationary(
     spec._check_domain(y0)
     profile0 = Profile.uniform(grid, y0, boundary_value=pts.y_plus)
     final, relax_residual, t_exit = _relax(profile0, spec, d, t_cap, DEFAULT_STEADY_TOL)
-    steady = relax_residual < RELAX_HANDOVER_TOL and _newton_polish(
+    steady = relax_residual < DEFAULT_STEADY_TOL and _newton_polish(
         final, spec, d, DEFAULT_STEADY_TOL
     )
     return _solution(final, spec, d, steady, t_exit)

@@ -33,6 +33,11 @@ class TestRunDe:
         # the state is already 0 after a single step
         assert traj.iterates[1] == 0.0
 
+    def test_iteration_cap_reports_not_converged(self):
+        traj = run_de(LdpcBec(0.45, 3, 6), max_iter=1)
+        assert not traj.converged
+        assert len(traj.iterates) == 2
+
     def test_below_threshold_decay(self):
         traj = run_de(LdpcBec(0.40, 3, 6), y0=1.0, tol=1e-12)
         assert traj.converged

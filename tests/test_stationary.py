@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from coupled_dynamics import pde, stationary
+from coupled_dynamics import _lapack, pde, stationary
 from coupled_dynamics.pde import DEFAULT_STEADY_TOL, Grid, Profile
 from coupled_dynamics.potentials import (
     DomainError,
@@ -140,9 +140,8 @@ class TestRelaxation:
 
     def test_capped_run_spends_few_evaluations(self, monkeypatch):
         # the capped h = 0 run: no step growth right after a rejected step
-        # (409 stencil evaluations without that rule), and the Numerov
-        # polish's line search starting from twice its last accepted lambda
-        # (177 Numerov evaluations when every iteration starts from 1)
+        # (409 stencil evaluations without that rule), and no Numerov polish
+        # of its unsteady end: one Numerov evaluation, the report's residual
         calls = {"_interior_rhs": 0, "_numerov_system": 0}
 
         def counting(module, name):
@@ -160,7 +159,19 @@ class TestRelaxation:
         assert not sol.steady
         assert sol.t_exit == 1e4
         assert calls["_interior_rhs"] < 380
-        assert calls["_numerov_system"] < 100
+        assert calls["_numerov_system"] == 1
+
+    @pytest.mark.parametrize(
+        "t_cap, classification, steady",
+        [(300.0, OTHER, False), (3e3, UNIFORM, True)],
+    )
+    def test_capped_run_near_the_fold_is_not_polished(self, t_cap, classification, steady):
+        # between the 3-point grid's fold and the continuum one at d = 0.05
+        # the flow ends uniform at t of about 1,574; polished from its state
+        # at t = 300, the run would land on a pot that the flow never reaches
+        sol = solve_stationary(DoubleWell(-0.0242407), 0.05, grid=Grid(1.0, 101), t_cap=t_cap)
+        assert sol.classification == classification
+        assert sol.steady is steady
 
     def test_newton_tail_halves_the_pot_solve(self, monkeypatch):
         # the linear tail below NEWTON_TAIL_TOL is one Newton finish, not
@@ -457,6 +468,36 @@ class TestNewtonPolish:
         profile = Profile(grid, np.full(grid.n_points, 1e-14), boundary_value=0.0)
         assert stationary._newton_polish(profile, spec, 0.005, DEFAULT_STEADY_TOL)
         assert np.all(profile.values == 0.0)
+
+    def test_exhausted_backtracking_fails(self, monkeypatch):
+        # 1e-6 above the continuum fold at d = 0.1 the 3-point pot branch
+        # goes on but the Numerov one has ended: the relaxation ends steady
+        # on a 3-point pot, and a polish iteration's 14 trials, lambda = 1
+        # down to 2^-13, all fail
+        spec = DoubleWell(-0.12007125625564907)
+        pts = find_stationary_points(spec)
+        start = Profile.uniform(Grid(1.0, 101), pts.y_minus, boundary_value=pts.y_plus)
+        relaxed, residual, t = pde._relax(start, spec, 0.1, 3e3, DEFAULT_STEADY_TOL)
+        assert residual < DEFAULT_STEADY_TOL and t < 3e3
+        assert classify_profile(relaxed) == POT_SHAPED
+        events = []
+
+        def recording(module, name, event):
+            fn = getattr(module, name)
+
+            def recorded(*args):
+                events.append(event)
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, recorded)
+
+        recording(stationary, "_numerov_system", "N")
+        recording(_lapack, "solve_banded", "S")
+        assert not stationary._newton_polish(relaxed, spec, 0.1, DEFAULT_STEADY_TOL)
+        assert events.count("S") < 30
+        assert "".join(events).endswith("S" + "N" * 14)
+        sol = solve_stationary(spec, 0.1, grid=Grid(1.0, 101), t_cap=3e3)
+        assert sol.classification == OTHER and not sol.steady
 
 
 class TestRefineProfile:
