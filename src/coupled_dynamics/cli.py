@@ -123,7 +123,6 @@ def cmd_de(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     p = _merge(args, {**_SPEC_DEFAULTS, "y0": "minus", "t_end": 2e4,
-                      "steady_tol": pde.DEFAULT_STEADY_TOL,
                       "snapshots": pde.DEFAULT_SNAPSHOT_EVERY})
     spec = _make_spec(p)
     grid = pde.Grid(float(p["xmax"]), int(p["n"]))
@@ -136,7 +135,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         spec,
         pde.ConstantCoupling(float(p["d"])),
         t_end=float(p["t_end"]),
-        steady_tol=float(p["steady_tol"]),
         snapshot_every=int(p["snapshots"]),
         keep_snapshots=bool(out),
     )
@@ -206,7 +204,7 @@ def cmd_bifurcation(args: argparse.Namespace) -> int:
     grid = pde.Grid(float(p["xmax"]), int(p["n"]))
     d_default, h_default = bif.default_sweep_box()
     d_values = _floats(p["d"]) if "d" in p else list(d_default)
-    h_values = _floats(p["h"]) if "h" in p else list(h_default)
+    out = p.get("out")
     curve = None
     if p.get("curve"):  # first: a bad tol or d fails before the sweep's work
         bracket = _floats(p["h_bracket"]) if "h_bracket" in p else [-0.3, -1e-3]
@@ -218,18 +216,16 @@ def cmd_bifurcation(args: argparse.Namespace) -> int:
             tol=float(p["tol"]),
             grid=grid,
         )
-    cells = bif.sweep(
-        d_values, h_values, grid=grid, t_cap=float(p["t_cap"]), jobs=int(p["jobs"])
-    )
-    out = p.get("out")
-    if out:
-        rows = [
-            (c.d, c.h, c.error if c.classification is None else c.classification, c.t_exit)
-            for c in cells
-        ]
-        _write_csv(Path(out) / "bifurcation_sweep.csv", "d,h,classification,t_exit", rows)
-    n_pot = sum(1 for c in cells if c.classification == stationary.POT_SHAPED)
-    print(f"{len(cells)} cells, {n_pot} pot-shaped")
+    if curve is None or "h" in p:  # with --curve, sweep only the tilts given
+        h_values = _floats(p["h"]) if "h" in p else list(h_default)
+        cells = bif.sweep(
+            d_values, h_values, grid=grid, t_cap=float(p["t_cap"]), jobs=int(p["jobs"])
+        )
+        if out:
+            rows = [(c.d, c.h, c.classification or c.error, c.t_exit) for c in cells]
+            _write_csv(Path(out) / "bifurcation_sweep.csv", "d,h,classification,t_exit", rows)
+        n_pot = sum(1 for c in cells if c.classification == stationary.POT_SHAPED)
+        print(f"{len(cells)} cells, {n_pot} pot-shaped")
     if curve is not None:
         for pt in curve:
             print(f"d={_fmt(pt.d)} h_crit={_fmt(pt.h_crit)}"
@@ -270,7 +266,6 @@ _FLAGS = {
     "y0": {"help": "minus | plus | numeric value"},
     "t_end": {"type": float},
     "t_cap": {"type": float},
-    "steady_tol": {"type": float},
     "snapshots": {"type": int, "help": "snapshot cadence in steps"},
     "tol": {"type": float},
     "max_iter": {"type": int},
@@ -290,7 +285,7 @@ _COMMANDS = {
            {"dv": {"required": True}, "dc": {"required": True},
             "y0": {"type": float, "help": None}}),
     "simulate": (cmd_simulate, "time integration of the coupled system",
-                 f"{_SPEC_FLAGS} d xmax n y0 t_end steady_tol snapshots", {}),
+                 f"{_SPEC_FLAGS} d xmax n y0 t_end snapshots", {}),
     "stationary": (cmd_stationary, "relax to a stationary solution and classify",
                    f"{_SPEC_FLAGS} d xmax n y0 t_cap", {}),
     "theorem1": (cmd_theorem1, "no-pot-shape verification sweep",

@@ -9,7 +9,9 @@ which needs only the end state, takes linearly implicit Euler steps whose
 size follows the local error through the transient, then finishes the linear
 tail by Newton on the same 3-point system; the time it reports is the model
 time of its last accepted step plus the tail's extrapolated decay time
-ln(max|r| / tol) / lambda_1 (lambda_1 the slowest decay rate), at most t_end.
+ln(max|r| / DEFAULT_STEADY_TOL) / lambda_1 (lambda_1 the slowest decay
+rate), at most t_end.  Every solver here calls a state steady once the
+max-norm of its residual is below DEFAULT_STEADY_TOL.
 """
 from __future__ import annotations
 
@@ -45,7 +47,8 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid over [-x_max, x_max] with an odd node count (x=0 on-grid)."""
+    """Uniform grid over [-x_max, x_max] with an odd node count (x=0 on-grid)
+    of at least 5, the floor of the stationary module's fourth-order slopes."""
 
     x_max: float
     n_points: int = 201
@@ -53,8 +56,8 @@ class Grid:
     def __post_init__(self):
         if not 0 < self.x_max < np.inf:
             raise ValueError("x_max must be positive and finite")
-        if self.n_points < 3 or self.n_points % 2 == 0:
-            raise ValueError("n_points must be an odd integer >= 3")
+        if self.n_points < 5 or self.n_points % 2 == 0:
+            raise ValueError("n_points must be an odd integer >= 5")
 
     @property
     def dx(self) -> float:
@@ -192,7 +195,6 @@ def integrate(
     spec: Potential,
     coupling: Coupling,
     t_end: float = 1000.0,
-    steady_tol: float = DEFAULT_STEADY_TOL,
     snapshot_every: int = DEFAULT_SNAPSHOT_EVERY,
     keep_snapshots: bool = True,
 ) -> TrajectoryRecord:
@@ -200,10 +202,11 @@ def integrate(
     at the step `stable_dt` = CFL_SAFETY dx^2 / max D, inside the diffusion
     stability bound 0.5 dx^2 / max D.
 
-    Exits early with steady=True once max|rhs| < steady_tol.  The last step
-    is clipped, so a run that is not steady ends at t_end exactly.  t_end < 0,
-    and a coupling that `stable_dt` rejects, raise ValueError before any
-    step; t_end = 0 takes no step.
+    Checks max|rhs| before every step and after the last: steady=True, and
+    an early exit, once it is below DEFAULT_STEADY_TOL; DivergenceError once
+    it is not finite.  The last step is clipped, so a run that is not steady
+    ends at t_end exactly.  t_end < 0, and a coupling that `stable_dt`
+    rejects, raise ValueError before any step; t_end = 0 takes no step.
     """
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
@@ -223,26 +226,22 @@ def integrate(
     dx = grid.dx
     gradient = spec.gradient_unchecked
     t = 0.0
-    steady = False
     record(0.0)
     # a t_end within 1e-9 steps of a whole number of steps adds no sliver step
     n_steps = math.ceil(t_end / dt - 1e-9)
-    for step in range(n_steps):
+    for step in range(n_steps + 1):
         r = _interior_rhs(y, dx, gradient, coupling)
         residual = float(np.abs(r).max())
         if not math.isfinite(residual):
             raise DivergenceError(t, r)
-        if residual < steady_tol:
-            steady = True
+        steady = residual < DEFAULT_STEADY_TOL
+        if steady or step == n_steps:
             break
         last = step == n_steps - 1
         y[1:-1] += (t_end - t if last else dt) * r
         t = t_end if last else t + dt
         if (step + 1) % snapshot_every == 0:
             record(t)
-    else:
-        residual = float(np.abs(_interior_rhs(y, dx, gradient, coupling)).max())
-        steady = residual < steady_tol
 
     record(t)
     return TrajectoryRecord(
@@ -262,21 +261,15 @@ def _reaction_lipschitz(spec: Potential) -> float:
 
 
 def _newton_tail(
-    y: np.ndarray,
-    r: np.ndarray,
-    u2: np.ndarray,
-    dx: float,
-    spec: Potential,
-    d: float,
-    steady_tol: float,
+    y: np.ndarray, r: np.ndarray, u2: np.ndarray, dx: float, spec: Potential, d: float
 ) -> Optional[tuple[np.ndarray, float, float]]:
     """Newton on the 3-point system from y (residual r, U'' = u2), which
     `_relax` tries once max|r| < NEWTON_TAIL_TOL: the linearly implicit step
     with tau = infinity, (-J) delta = r, at most three times.  Returns
     (interior nodes, max|r|, lambda_1) when the residual falls below
-    steady_tol at a stable fixed point (lambda_1, the smallest eigenvalue of
-    -J there, > 0) reached by a correction of one sign (to 1e-12), as the
-    Perron-mode tail of a monotone flow is; else None."""
+    DEFAULT_STEADY_TOL at a stable fixed point (lambda_1, the smallest
+    eigenvalue of -J there, > 0) reached by a correction of one sign (to
+    1e-12), as the Perron-mode tail of a monotone flow is; else None."""
     from . import _lapack
 
     gradient = spec.gradient_unchecked
@@ -292,7 +285,7 @@ def _newton_tail(
         r = _interior_rhs(z, dx, gradient, coupling)
         u2 = spec.curvature_unchecked(z[1:-1])
         residual = float(np.abs(r).max())
-        if residual < steady_tol:
+        if residual < DEFAULT_STEADY_TOL:
             break
     else:
         return None
@@ -308,7 +301,7 @@ def _newton_tail(
 
 
 def _relax(
-    profile0: Profile, spec: Potential, d: float, t_end: float, steady_tol: float
+    profile0: Profile, spec: Potential, d: float, t_end: float
 ) -> tuple[Profile, float, float]:
     """Relax toward a stationary profile under constant coupling d by
     linearly implicit (Rosenbrock) Euler steps with local error control
@@ -332,11 +325,12 @@ def _relax(
     (`_newton_tail`, pseudo-transient continuation with tau -> infinity;
     Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  A stable fixed point
     reached monotonically ends the run, at the model time t +
-    ln(max|r| / steady_tol) / lambda_1 when the tail's slowest mode (rate
-    lambda_1) would decay to steady_tol, or at t_end if that comes first.
-    Otherwise stepping goes on, and Newton is retried once max|r| has fallen
-    tenfold.  Stops once max|r| < steady_tol; returns (final profile, max|r|,
-    t).  Its fixed points are exactly those of the 3-point stencil.
+    ln(max|r| / DEFAULT_STEADY_TOL) / lambda_1 when the tail's slowest mode
+    (rate lambda_1) would decay to DEFAULT_STEADY_TOL, or at t_end if that
+    comes first.  Otherwise stepping goes on, and Newton is retried once
+    max|r| has fallen tenfold.  Stops once max|r| < DEFAULT_STEADY_TOL;
+    returns (final profile, max|r|, t).  Its fixed points are exactly those
+    of the 3-point stencil.
     """
     from . import _lapack
 
@@ -361,13 +355,13 @@ def _relax(
         residual = float(np.abs(r).max())
         if not math.isfinite(residual):
             raise DivergenceError(t, r)
-        if residual < steady_tol or t >= t_end:
+        if residual < DEFAULT_STEADY_TOL or t >= t_end:
             return work, residual, t
         if residual < newton_below:
-            tail = _newton_tail(y, r, u2, dx, spec, d, steady_tol)
+            tail = _newton_tail(y, r, u2, dx, spec, d)
             if tail is not None:
                 y[1:-1] = tail[0]
-                t_tail = t + math.log(residual / steady_tol) / tail[2]
+                t_tail = t + math.log(residual / DEFAULT_STEADY_TOL) / tail[2]
                 return work, tail[1], min(t_tail, t_end)
             newton_below = 0.1 * residual
         last = t + tau >= t_end

@@ -34,7 +34,6 @@ from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_
 
 POT_TOL = 1e-3
 SLOPE_TOL = 1e-8
-RESIDUAL_TOL = 1e-6
 # Nodes in theta of `quadrature_reconstruct`'s cosine-substituted quadrature,
 # and its slope-zero clamp, relative to the largest |U + C| on the range.
 _QUAD_NODES = 8001
@@ -123,18 +122,10 @@ _END_WEIGHTS = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
 _NEAR_END_WEIGHTS = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
-def _require_slope_nodes(n_points: int) -> None:
-    if n_points < 5:
-        raise ValueError(
-            f"fourth-order slopes need at least 5 grid nodes, got {n_points}"
-        )
-
-
 def _slopes(profile: Profile) -> np.ndarray:
     """Fourth-order y' at every node: 5-point central differences inside,
     one-sided 5-point stencils at the two end nodes and their neighbours."""
     y = profile.values
-    _require_slope_nodes(len(y))
     s = np.empty_like(y)
     s[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / 12.0
     s[0] = _END_WEIGHTS @ y[:5]
@@ -224,19 +215,17 @@ def solve_stationary(
     DEFAULT_STEADY_TOL; a run that hits t_cap is never polished.  `residual`
     reports the Numerov residual of the returned profile, and `steady` is
     True only when the polish converged; otherwise the classification is
-    Other.  The grid needs at least 5 nodes, the floor of the fourth-order
-    slopes.
+    Other.
     """
     check_coupling(d)
     if grid is None:
         grid = Grid(1.0, 201)
-    _require_slope_nodes(grid.n_points)
     pts = find_stationary_points(spec)
     if y0 is None:
         y0 = pts.y_minus
     spec._check_domain(y0)
     profile0 = Profile.uniform(grid, y0, boundary_value=pts.y_plus)
-    final, relax_residual, t_exit = _relax(profile0, spec, d, t_cap, DEFAULT_STEADY_TOL)
+    final, relax_residual, t_exit = _relax(profile0, spec, d, t_cap)
     steady = relax_residual < DEFAULT_STEADY_TOL and _newton_polish(
         final, spec, d, DEFAULT_STEADY_TOL
     )
@@ -255,7 +244,6 @@ def refine_profile(
     grid-convergence studies.
     """
     check_coupling(d)
-    _require_slope_nodes(grid.n_points)
     src = solution.profile
     vals = np.interp(grid.x, src.grid.x, src.values)
     new = Profile(grid, vals, boundary_value=src.boundary_value)
@@ -273,14 +261,16 @@ def first_integral(
     """(D/2) y'^2 - U(y) at every interior node, for constancy checks.
 
     The profile must solve the fourth-order (Numerov) discretization to a
-    residual of at most RESIDUAL_TOL, else NotSteadyError.  The slope is
-    fourth order too, so on a solved profile the spread of the returned
-    values is O(dx^4).
+    residual below DEFAULT_STEADY_TOL, the test `solve_stationary` and
+    `refine_profile` polish to, else NotSteadyError.  The slope is fourth
+    order too, so on a solved profile the spread of the returned values is
+    O(dx^4).
     """
     residual = _stationary_residual(solution.profile, spec, d)
-    if residual > RESIDUAL_TOL:
+    if not residual < DEFAULT_STEADY_TOL:
         raise NotSteadyError(
-            f"profile is not stationary (residual {residual:.3g} > {RESIDUAL_TOL})"
+            f"profile is not stationary (residual {residual:.3g}"
+            f" >= {DEFAULT_STEADY_TOL:g})"
         )
     y = solution.profile.values
     slope = _slopes(solution.profile)[1:-1]

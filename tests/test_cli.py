@@ -329,6 +329,18 @@ class TestBifurcation:
         assert code == 1
         assert "tol must be positive" in err
 
+    def test_curve_without_h_runs_no_sweep(self, capsys, monkeypatch, tmp_path):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("--curve without --h swept")
+
+        monkeypatch.setattr(bif, "sweep", no_sweep)
+        code, out, err = run(capsys, "bifurcation", "--curve", "--d=0.05,0.1",
+                             "--out", str(tmp_path))
+        assert code == 0, err
+        assert [line.split()[1].split("=")[0] for line in out.splitlines()] == [
+            "h_crit", "h_crit"]
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["critical_curve.csv"]
+
     def test_empty_d_list_exits_1(self, capsys):
         code, out, err = run(capsys, "bifurcation", "--d=")
         assert code == 1
@@ -371,7 +383,7 @@ FLAG_SURFACE = {
     "simulate": {
         "--family": STR, "--h": FLOAT, "--eps": FLOAT, "--dv": INT, "--dc": INT,
         "--d": FLOAT, "--xmax": FLOAT, "--n": INT, "--y0": STR, "--t-end": FLOAT,
-        "--steady-tol": FLOAT, "--snapshots": INT,
+        "--snapshots": INT,
     },
     "stationary": {
         "--family": STR, "--h": FLOAT, "--eps": FLOAT, "--dv": INT, "--dc": INT,
@@ -410,7 +422,7 @@ class TestParser:
         parser = build_parser()
         ns = parser.parse_args(["de", "--dv", "3", "--dc", "6", "--max-iter", "7"])
         assert ns.max_iter == 7
-        ns = parser.parse_args(["simulate", "--steady-tol", "1e-6", "--snapshots", "5"])
-        assert (ns.steady_tol, ns.snapshots) == (1e-6, 5)
+        ns = parser.parse_args(["simulate", "--t-end", "50", "--snapshots", "5"])
+        assert (ns.t_end, ns.snapshots) == (50.0, 5)
         ns = parser.parse_args(["bifurcation", "--curve", "--h-bracket=-0.2,-0.01"])
         assert (ns.curve, ns.h_bracket) == (True, "-0.2,-0.01")

@@ -1,7 +1,8 @@
 """The package imports numpy alone and loads scipy.linalg on the first
-relaxation or Newton polish: threshold and critical-curve runs load no scipy
-and no process-pool machinery (multiprocessing), and the threshold and
-refinement paths load neither scipy.optimize nor scipy.interpolate."""
+relaxation or Newton polish: threshold and critical-curve runs, `cdl
+bifurcation --curve` without --h among them, load no scipy and no
+process-pool machinery (multiprocessing), and the threshold and refinement
+paths load neither scipy.optimize nor scipy.interpolate."""
 import os
 import subprocess
 import sys
@@ -40,6 +41,7 @@ assert cli.main(["de", "--dv", "3", "--dc", "6", "--threshold"]) == 0
 assert cli.main(["threshold-sc", "--family", "ldpc", "--dv", "3", "--dc", "6",
                  "--bracket", "0.43", "0.6"]) == 0
 assert all(p.error is None for p in critical_curve([0.05, 0.1], tol=1e-6))
+assert cli.main(["bifurcation", "--curve", "--d=0.05,0.1"]) == 0
 equal_height_parameter(DoubleWell, (-0.1, 0.1))
 assert not scipy_modules(), scipy_modules()
 pool_modules = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]

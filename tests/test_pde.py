@@ -58,6 +58,9 @@ class TestGridProfile:
             Grid(1.0, 200)
         with pytest.raises(ValueError):
             Grid(-1.0, 201)
+        # the floor of the stationary module's fourth-order slopes
+        with pytest.raises(ValueError, match="odd integer >= 5"):
+            Grid(1.0, 3)
 
     @pytest.mark.parametrize("x_max", [float("nan"), float("inf")])
     def test_non_finite_x_max_rejected(self, x_max):
@@ -254,13 +257,25 @@ class TestIntegrate:
             with pytest.raises(DivergenceError):
                 integrate(prof, spec, ConstantCoupling(0.01), t_end=10.0)
 
+    def test_divergence_on_the_last_step_detected(self):
+        # one step of stable_dt = 1.6 takes 1e100 to about -1.6e300, whose
+        # cube overflows: the check after the last step raises
+        spec = DoubleWell(0.0, domain=(-1e308, 1e308))
+        prof = Profile.uniform(Grid(1.0, 11), 1e100)
+        coupling = ConstantCoupling(0.01)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dt = stable_dt(prof.grid, spec, coupling)
+            with pytest.raises(DivergenceError) as err:
+                integrate(prof, spec, coupling, t_end=dt)
+        assert err.value.t == dt
+
     def test_divergence_names_first_non_finite_node(self):
         # a NaN at index 7 makes the stencil of node 6 the first non-finite one
         prof = Profile.uniform(Grid(1.0, 51), -1.0, boundary_value=1.0)
         prof.values[7] = np.nan
         spec = DoubleWell(0.0)
         for run in (
-            lambda: _relax(prof, spec, 0.01, 10.0, 1e-9),
+            lambda: _relax(prof, spec, 0.01, 10.0),
             lambda: integrate(prof, spec, ConstantCoupling(0.01), t_end=10.0),
         ):
             with pytest.raises(DivergenceError) as err:
