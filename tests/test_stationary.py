@@ -101,6 +101,11 @@ class TestSolveStationary:
         sol = solve_stationary(spec, 0.01, grid=Grid(1.0, 51), y0=-1.0)
         assert sol.steady
 
+    def test_single_interior_node_hits_slope_floor(self):
+        # fourth-order slopes need five nodes: Grid refuses three
+        with pytest.raises(ValueError, match="odd integer >= 5"):
+            solve_stationary(DoubleWell(-0.01), 0.01, grid=Grid(1.0, 3))
+
     def test_t_exit_is_model_time(self, fig2_pot):
         # explicit Euler (dt = 0.4 dx^2/D) reaches steady at t = 318.4
         _, sol = fig2_pot
@@ -300,6 +305,22 @@ class TestFirstIntegral:
         spec, sol = fig2_pot
         fi = first_integral(sol, spec, 0.01)
         assert abs(sol.first_integral_constant - fi.mean()) < 1e-4
+
+    def test_rejects_grid_below_five_nodes(self):
+        # fourth-order slopes need five nodes: Grid refuses three, so no
+        # such profile reaches first_integral
+        spec = DoubleWell(0.05)
+        y_plus = find_stationary_points(spec).y_plus
+        with pytest.raises(ValueError, match="odd integer >= 5"):
+            fake = StationarySolution(
+                profile=Profile.uniform(Grid(1.0, 3), y_plus),
+                classification=UNIFORM,
+                first_integral_constant=0.0,
+                residual=0.0,
+                steady=True,
+                t_exit=0.0,
+            )
+            first_integral(fake, spec, 0.01)
 
     def test_rejects_non_stationary_profile(self):
         spec = DoubleWell(0.0)
@@ -540,6 +561,16 @@ class TestRefineProfile:
         spec, sol = fig2_pot
         with pytest.raises(NotSteadyError, match=r"refined grid \(n=401\)"):
             refine_profile(sol, spec, 0.01, Grid(1.0, 401))
+
+
+    def test_rejects_grid_below_five_nodes_before_polishing(self, fig2_pot, monkeypatch):
+        def no_polish(*args, **kwargs):
+            raise AssertionError("polished a grid that is then rejected")
+
+        monkeypatch.setattr(stationary, "_newton_polish", no_polish)
+        spec, sol = fig2_pot
+        with pytest.raises(ValueError, match="odd integer >= 5"):
+            refine_profile(sol, spec, 0.01, Grid(1.0, 3))
 
 
 class TestVerifyNoPotShape:
