@@ -51,7 +51,7 @@ def default_sweep_box() -> tuple[np.ndarray, np.ndarray]:
     return d_values, h_values
 
 
-def _classify_cell(d: float, h: float, grid: Optional[Grid], t_cap: float) -> BifurcationCell:
+def _classify_cell(d: float, h: float, grid: Grid, t_cap: float) -> BifurcationCell:
     spec = DoubleWell(h)
     pts = find_stationary_points(spec)
     if not pts.is_bistable:
@@ -71,12 +71,12 @@ def _classify_cell(d: float, h: float, grid: Optional[Grid], t_cap: float) -> Bi
 def sweep(
     d_values: Sequence[float],
     h_values: Sequence[float],
-    grid: Optional[Grid] = None,
+    grid: Grid = Grid(),
     t_cap: float = DEFAULT_T_CAP,
     jobs: int = 1,
 ) -> list[BifurcationCell]:
     """Classify every (d, h) cell of the DoubleWell(h) tilt plane, row-major
-    in (d, h) order.
+    in (d, h) order, each relaxed on `grid`.
 
     The initial state is the smaller stable point of each cell's potential.
     Non-bistable cells are recorded with an error and the sweep continues.
@@ -179,7 +179,7 @@ def critical_curve(
     d_values: Sequence[float],
     h_bracket: tuple[float, float] = (-0.3, -1e-3),
     tol: float = 1e-4,
-    grid: Optional[Grid] = None,
+    grid: Grid = Grid(),
 ) -> list[CurvePoint]:
     """Critical tilt h_crit(d) of DoubleWell(h) for each coupling: the fold
     where the continuum pot branch of the problem pinned at y_plus ends.
@@ -193,7 +193,7 @@ def critical_curve(
     d must be positive and finite (ValueError, raised before any time-map
     work).
 
-    grid: only its x_max is used (1 when None).  h_crit is the continuum
+    grid: only its x_max is used.  h_crit is the continuum
     fold, which lies O(dx^2) from the fold of the n-point relaxation that
     `sweep` labels with.
     h_bracket: the search interval, ends in either order, both in
@@ -211,7 +211,6 @@ def critical_curve(
     d_values = [float(d) for d in d_values]
     for d in d_values:
         check_coupling(d)
-    x_max = 1.0 if grid is None else grid.x_max
     h_lo, h_hi = sorted(float(h) for h in h_bracket)
     for h in (h_lo, h_hi):
         if not (h <= -_H_FLOOR and 27.0 * h * h < 4.0):
@@ -223,7 +222,7 @@ def critical_curve(
     tau_lo, tau_hi = _min_pot_time(h_hi), _min_pot_time(h_lo)
     curve: list[CurvePoint] = []
     for d in d_values:
-        scale = math.sqrt(d) / x_max
+        scale = math.sqrt(d) / grid.x_max
         f_lo, f_hi = scale * tau_lo - 1.0, scale * tau_hi - 1.0
         if (f_lo < 0.0) == (f_hi < 0.0):
             where = "both ends" if f_lo < 0.0 else "neither end"

@@ -2,9 +2,9 @@
 theorem1, bifurcation, threshold-sc.
 
 Parameters may come from a flat JSON config (--config); explicit flags
-override config values, which override built-in defaults.  All file output
-goes under --out.  Floats are printed with 17 significant digits so CSV
-output round-trips and identical configs produce byte-identical files.
+override config values, and what neither gives takes the library's default.
+All file output goes under --out.  Floats print with 17 significant digits,
+so CSV output round-trips and identical configs give byte-identical files.
 Exit codes: 0 success, 1 domain or numeric failure, 2 usage error.
 """
 from __future__ import annotations
@@ -64,8 +64,26 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     return params
 
 
-# Defaults of the subcommands that relax one potential on one grid.
-_SPEC_DEFAULTS = {"family": "dw", "h": 0.0, "d": 0.01, "xmax": 1.0, "n": 201, "t_cap": 2e4}
+def _given(p: dict, **types) -> dict:
+    """The keys of `types` that a flag or the config gave, each converted."""
+    return {key: convert(p[key]) for key, convert in types.items() if key in p}
+
+
+def _grid(p: dict) -> pde.Grid:
+    """The grid of --xmax and --n, with `pde.Grid()`'s value for each left out."""
+    default = pde.Grid()
+    return pde.Grid(float(p.get("xmax", default.x_max)), int(p.get("n", default.n_points)))
+
+
+def _h_bracket(value) -> tuple[float, float]:
+    bracket = _floats(value)
+    if len(bracket) != 2:
+        raise ValueError(f"--h-bracket takes two values, got {len(bracket)}")
+    return tuple(bracket)
+
+
+# Defaults of the subcommands that relax one potential: the problem itself.
+_SPEC_DEFAULTS = {"family": "dw", "h": 0.0, "d": 0.01}
 
 
 def _family(p: dict):
@@ -95,10 +113,10 @@ def _resolve_y0(token, pts: potentials.StationaryPointSet) -> float:
 
 
 def cmd_de(args: argparse.Namespace) -> int:
-    p = _merge(args, {"y0": 1.0, "max_iter": de_mod.DEFAULT_MAX_ITER})
+    p = _merge(args, {})
     dv, dc = int(p["dv"]), int(p["dc"])
     if p.get("threshold"):
-        value = de_mod.bp_threshold(dv, dc, tol=float(p.get("tol", 1e-4)))
+        value = de_mod.bp_threshold(dv, dc, **_given(p, tol=float))
         print(f"bp_threshold {_fmt(value)}")
         if p.get("out"):
             _write_csv(Path(p["out"]) / "threshold.csv", "dv,dc,threshold", [(dv, dc, value)])
@@ -107,12 +125,7 @@ def cmd_de(args: argparse.Namespace) -> int:
         raise ValueError("either --eps or --threshold is required")
     eps = float(p["eps"])
     spec = potentials.LdpcBec(epsilon=eps, dv=dv, dc=dc)
-    traj = de_mod.run_de(
-        spec,
-        y0=float(p["y0"]),
-        max_iter=int(p["max_iter"]),
-        tol=float(p.get("tol", 1e-12)),
-    )
+    traj = de_mod.run_de(spec, **_given(p, y0=float, max_iter=int, tol=float))
     print(f"fixed_point {_fmt(traj.fixed_point)} after {len(traj.iterates) - 1} iterations"
           f" converged={traj.converged}")
     if p.get("out"):
@@ -125,7 +138,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     p = _merge(args, {**_SPEC_DEFAULTS, "y0": "minus", "t_end": 2e4,
                       "snapshots": pde.DEFAULT_SNAPSHOT_EVERY})
     spec = _make_spec(p)
-    grid = pde.Grid(float(p["xmax"]), int(p["n"]))
+    grid = _grid(p)
     pts = potentials.find_stationary_points(spec)
     y0 = _resolve_y0(p["y0"], pts)
     profile0 = pde.Profile.uniform(grid, y0, boundary_value=pts.y_plus)
@@ -156,12 +169,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_stationary(args: argparse.Namespace) -> int:
     p = _merge(args, _SPEC_DEFAULTS)
     spec = _make_spec(p)
-    grid = pde.Grid(float(p["xmax"]), int(p["n"]))
-    pts = potentials.find_stationary_points(spec)
-    y0 = _resolve_y0(p.get("y0", "minus"), pts)
-    sol = stationary.solve_stationary(
-        spec, float(p["d"]), grid=grid, y0=y0, t_cap=float(p["t_cap"])
-    )
+    grid = _grid(p)
+    given = _given(p, t_cap=float)
+    if "y0" in p:
+        given["y0"] = _resolve_y0(p["y0"], potentials.find_stationary_points(spec))
+    sol = stationary.solve_stationary(spec, float(p["d"]), grid=grid, **given)
     print(
         f"classification {sol.classification} residual {_fmt(sol.residual)}"
         f" C {_fmt(sol.first_integral_constant)} steady={sol.steady}"
@@ -175,12 +187,12 @@ def cmd_stationary(args: argparse.Namespace) -> int:
 def cmd_theorem1(args: argparse.Namespace) -> int:
     p = _merge(args, {**_SPEC_DEFAULTS, "d": "0.001,0.01,0.1"})
     spec = _make_spec(p)
-    grid = pde.Grid(float(p["xmax"]), int(p["n"]))
+    grid = _grid(p)
     d_list = _floats(p["d"])
-    y0_list = _floats(p["y0"]) if "y0" in p else None
-    report = stationary.verify_no_pot_shape(
-        spec, d_list, y0_list=y0_list, grid=grid, t_cap=float(p["t_cap"])
-    )
+    given = _given(p, t_cap=float)
+    if "y0" in p:
+        given["y0_list"] = _floats(p["y0"])
+    report = stationary.verify_no_pot_shape(spec, d_list, grid=grid, **given)
     for cell in report.cells:
         print(
             f"d={_fmt(cell.d)} y0={_fmt(cell.y0)} {cell.classification}"
@@ -197,30 +209,19 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
 
 
 def cmd_bifurcation(args: argparse.Namespace) -> int:
-    p = _merge(
-        args,
-        {"xmax": 1.0, "n": 201, "t_cap": bif.DEFAULT_T_CAP, "tol": 1e-4, "jobs": 1},
-    )
-    grid = pde.Grid(float(p["xmax"]), int(p["n"]))
+    p = _merge(args, {})
+    grid = _grid(p)
     d_default, h_default = bif.default_sweep_box()
     d_values = _floats(p["d"]) if "d" in p else list(d_default)
     out = p.get("out")
     curve = None
     if p.get("curve"):  # first: a bad tol or d fails before the sweep's work
-        bracket = _floats(p["h_bracket"]) if "h_bracket" in p else [-0.3, -1e-3]
-        if len(bracket) != 2:
-            raise ValueError(f"--h-bracket takes two values, got {len(bracket)}")
         curve = bif.critical_curve(
-            d_values,
-            h_bracket=tuple(bracket),
-            tol=float(p["tol"]),
-            grid=grid,
+            d_values, grid=grid, **_given(p, h_bracket=_h_bracket, tol=float)
         )
     if curve is None or "h" in p:  # with --curve, sweep only the tilts given
         h_values = _floats(p["h"]) if "h" in p else list(h_default)
-        cells = bif.sweep(
-            d_values, h_values, grid=grid, t_cap=float(p["t_cap"]), jobs=int(p["jobs"])
-        )
+        cells = bif.sweep(d_values, h_values, grid=grid, **_given(p, t_cap=float, jobs=int))
         if out:
             rows = [(c.d, c.h, c.classification or c.error, c.t_exit) for c in cells]
             _write_csv(Path(out) / "bifurcation_sweep.csv", "d,h,classification,t_exit", rows)
@@ -240,9 +241,11 @@ def cmd_bifurcation(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold_sc(args: argparse.Namespace) -> int:
-    p = _merge(args, {"family": "dw", "tol": 1e-10})
+    p = _merge(args, {"family": "dw"})
     make, _ = _family(p)
-    value = potentials.equal_height_parameter(make, _floats(p["bracket"]), tol=float(p["tol"]))
+    value = potentials.equal_height_parameter(
+        make, _floats(p["bracket"]), **_given(p, tol=float)
+    )
     print(f"threshold_sc {_fmt(value)}")
     if p.get("out"):
         _write_csv(Path(p["out"]) / "threshold_sc.csv", "family,value", [(p["family"], value)])

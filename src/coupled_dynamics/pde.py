@@ -48,9 +48,10 @@ class DivergenceError(RuntimeError):
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid over [-x_max, x_max] with an odd node count (x=0 on-grid)
-    of at least 5, the floor of the stationary module's fourth-order slopes."""
+    of at least 5, the floor of the stationary module's fourth-order slopes.
+    `Grid()`, 201 nodes on [-1, 1], is the package's default grid."""
 
-    x_max: float
+    x_max: float = 1.0
     n_points: int = 201
 
     def __post_init__(self):
@@ -185,7 +186,7 @@ def stable_dt(grid: Grid, spec: Potential, coupling: Coupling) -> float:
     """Auto time step: CFL_SAFETY * dx^2 / max D, with D sampled at 513
     points of the potential domain; ValueError unless D > 0 at all of them."""
     diffusivity = coupling.diffusivity(np.linspace(*spec.domain, 513))
-    if np.min(diffusivity) <= 0:
+    if not np.min(diffusivity) > 0:  # a NaN sample fails too
         raise ValueError("coupling function must be positive over the domain")
     return CFL_SAFETY * grid.dx**2 / float(np.max(diffusivity))
 

@@ -135,20 +135,20 @@ def _slopes(profile: Profile) -> np.ndarray:
     return s / profile.grid.dx
 
 
-def _boundary_first_integral(profile: Profile, spec: Potential, d: float) -> float:
-    slope = _slopes(profile)[-1]
-    return float(0.5 * d * slope**2 - spec.potential(profile.boundary_value))
+def _first_integral(profile: Profile, spec: Potential, d: float) -> np.ndarray:
+    """(D/2) y'^2 - U(y) at every node, with fourth-order slopes."""
+    return 0.5 * d * _slopes(profile) ** 2 - np.asarray(spec.potential(profile.values))
 
 
 def _solution(
     profile: Profile, spec: Potential, d: float, steady: bool, t_exit: float
 ) -> StationarySolution:
     """The report on a solved profile: classified when steady, else Other,
-    with its boundary first-integral constant and Numerov residual."""
+    with its first-integral constant at the boundary and Numerov residual."""
     return StationarySolution(
         profile=profile,
         classification=classify_profile(profile) if steady else OTHER,
-        first_integral_constant=_boundary_first_integral(profile, spec, d),
+        first_integral_constant=float(_first_integral(profile, spec, d)[-1]),
         residual=_stationary_residual(profile, spec, d),
         steady=steady,
         t_exit=t_exit,
@@ -194,11 +194,11 @@ def _newton_polish(profile: Profile, spec: Potential, d: float, tol: float) -> b
 def solve_stationary(
     spec: Potential,
     d: float,
-    grid: Optional[Grid] = None,
+    grid: Grid = Grid(),
     y0: Optional[float] = None,
     t_cap: float = 2e4,
 ) -> StationarySolution:
-    """Relax the PDE from a uniform initial state and classify the outcome.
+    """Relax the PDE on `grid` from a uniform state and classify the outcome.
 
     Constant coupling only.  The boundary value is the largest stable point
     of the potential; y0 defaults to the smallest stable point, and a y0
@@ -218,8 +218,6 @@ def solve_stationary(
     Other.
     """
     check_coupling(d)
-    if grid is None:
-        grid = Grid(1.0, 201)
     pts = find_stationary_points(spec)
     if y0 is None:
         y0 = pts.y_minus
@@ -272,9 +270,7 @@ def first_integral(
             f"profile is not stationary (residual {residual:.3g}"
             f" >= {DEFAULT_STEADY_TOL:g})"
         )
-    y = solution.profile.values
-    slope = _slopes(solution.profile)[1:-1]
-    return 0.5 * d * slope**2 - np.asarray(spec.potential(y[1:-1]))
+    return _first_integral(solution.profile, spec, d)[1:-1]
 
 
 def quadrature_reconstruct(
@@ -282,13 +278,13 @@ def quadrature_reconstruct(
     d: float,
     c_const: float,
     y_at_origin: float,
-    grid: Optional[Grid] = None,
+    grid: Grid = Grid(),
 ) -> Profile:
     """Rebuild a symmetric stationary profile from its first-integral constant.
 
     Integrates dx = sqrt(D/2) dy / sqrt(U(y) + C) upward from the center
     value y_c to the boundary value y_b and inverts the monotone map x(y)
-    onto the grid.  One cosine substitution y = y_c + (y_b - y_c)(1 - cos
+    onto `grid`.  One cosine substitution y = y_c + (y_b - y_c)(1 - cos
     theta)/2 over theta in [0, pi], summed at midpoints, covers both ends:
     sin theta cancels the integrable 1/sqrt of a simple zero of U + C, and at
     a double zero (the heteroclinic case) x grows without bound.  Raises
@@ -297,8 +293,6 @@ def quadrature_reconstruct(
     the boundary point is the unique global minimum.
     """
     check_coupling(d)
-    if grid is None:
-        grid = Grid(1.0, 201)
     y_b = find_stationary_points(spec).y_plus
     if abs(y_at_origin - y_b) < 1e-12:
         return Profile.uniform(grid, y_b)
@@ -370,15 +364,16 @@ def verify_no_pot_shape(
     spec: Potential,
     d_list: Sequence[float],
     y0_list: Optional[Sequence[float]] = None,
-    grid: Optional[Grid] = None,
+    grid: Grid = Grid(),
     t_cap: float = 2e4,
 ) -> NoPotShapeReport:
-    """Sweep relaxation runs and check that none ends pot-shaped.
+    """Sweep relaxation runs on `grid`; `passed` only if every one ends Uniform.
 
     Precondition: the boundary point must be the strict global minimum among
     the stationary points.  LdpcBec specs are mirrored internally so that
     their optimal point y=0 becomes the largest stable point and the same
     pot-shape predicate applies; the report records the orientation used.
+    A run that ends Other, say at t_cap, gives no answer and fails the sweep.
     An empty d_list or y0_list raises ValueError before any solve.
     """
     if len(d_list) == 0 or (y0_list is not None and len(y0_list) == 0):
@@ -418,5 +413,5 @@ def verify_no_pot_shape(
                     first_integral_constant=sol.first_integral_constant,
                 )
             )
-    passed = all(c.classification != POT_SHAPED for c in cells)
+    passed = all(c.classification == UNIFORM for c in cells)
     return NoPotShapeReport(cells=cells, passed=passed, orientation=orientation)

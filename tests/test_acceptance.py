@@ -174,10 +174,11 @@ def test_criterion_07_quadrature_matches_relaxation(fig2_pot):
     assert np.max(np.abs(rebuilt.values - sol.profile.values)) < 5e-3
 
 
-def test_criterion_08_discrete_chain_matches_pde(fig2_uniform, fig2_pot):
-    for spec, sol in (fig2_uniform[:2], fig2_pot):
-        y_minus = find_stationary_points(spec).y_minus
-        chain = simulate_discrete_chain(201, spec, D_FIG2, y_minus, t_end=2e4)
+def test_criterion_08_discrete_chain_matches_pde(fig2_uniform, fig2_pot, fig2_pot_chain):
+    spec, uniform, _ = fig2_uniform
+    y_minus = find_stationary_points(spec).y_minus
+    uniform_chain = simulate_discrete_chain(201, spec, D_FIG2, y_minus, t_end=2e4)
+    for chain, sol in ((uniform_chain, uniform), (fig2_pot_chain, fig2_pot[1])):
         assert np.max(np.abs(chain - sol.profile.values)) < 1e-2
 
 

@@ -15,6 +15,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def record_calls(monkeypatch, module, name, result):
+    """Replace module.name by a fake returning `result`; the list it returns
+    collects each call's keyword arguments."""
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(kwargs)
+        return result
+
+    monkeypatch.setattr(module, name, fake)
+    return calls
+
+
 class TestDe:
     def test_threshold(self, capsys, tmp_path):
         code, out, _ = run(
@@ -38,6 +51,12 @@ class TestDe:
         lines = (tmp_path / "de_trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,y"
         assert float(lines[1].split(",")[1]) == 1.0
+
+    def test_threshold_leaves_tol_to_the_library(self, capsys, monkeypatch):
+        calls = record_calls(monkeypatch, de, "bp_threshold", 0.5)
+        code, out, _ = run(capsys, "de", "--dv", "3", "--dc", "6", "--threshold")
+        assert code == 0 and out == "bp_threshold 0.5\n"
+        assert calls == [{}]
 
     def test_bad_degree_exits_1(self, capsys):
         code, _, err = run(capsys, "de", "--dv", "1", "--dc", "6", "--threshold")
@@ -248,6 +267,13 @@ class TestTheorem1:
         assert lines[0] == "d,y0,classification,residual,C"
         assert len(lines) == 4  # three initial values for one coupling
 
+    def test_capped_runs_fail(self, capsys):
+        # at t_cap = 1 every cell ends Other: no pot, but no answer either
+        code, out, _ = run(capsys, "theorem1", "--h", "0.05", "--n", "101", "--t-cap", "1")
+        assert code == 1
+        assert out.count(" Other ") == 9
+        assert out.endswith("passed=False\n")
+
     def test_hypothesis_violation_exits_1(self, capsys):
         code, _, err = run(capsys, "theorem1", "--h", "-0.05", "--d", "0.01")
         assert code == 1
@@ -340,6 +366,18 @@ class TestBifurcation:
         assert [line.split()[1].split("=")[0] for line in out.splitlines()] == [
             "h_crit", "h_crit"]
         assert sorted(f.name for f in tmp_path.iterdir()) == ["critical_curve.csv"]
+
+    def test_curve_leaves_tol_and_bracket_to_the_library(self, capsys, monkeypatch):
+        calls = record_calls(monkeypatch, bif, "critical_curve", [bif.CurvePoint(0.05, -0.02)])
+        code, _, _ = run(capsys, "bifurcation", "--curve", "--d", "0.05")
+        assert code == 0
+        assert calls == [{"grid": pde.Grid()}]
+
+    def test_sweep_leaves_t_cap_and_jobs_to_the_library(self, capsys, monkeypatch):
+        calls = record_calls(monkeypatch, bif, "sweep", [])
+        code, out, _ = run(capsys, "bifurcation", "--d", "0.1", "--h=-0.05")
+        assert (code, out) == (0, "0 cells, 0 pot-shaped\n")
+        assert calls == [{"grid": pde.Grid()}]
 
     def test_empty_d_list_exits_1(self, capsys):
         code, out, err = run(capsys, "bifurcation", "--d=")

@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from coupled_dynamics import pde
+from coupled_dynamics import bifurcation, pde, stationary
 from coupled_dynamics.pde import (
     AffineCoupling,
     ConstantCoupling,
@@ -66,6 +68,22 @@ class TestGridProfile:
     def test_non_finite_x_max_rejected(self, x_max):
         with pytest.raises(ValueError, match="x_max must be positive and finite"):
             Grid(x_max, 101)
+
+    def test_default_grid(self):
+        assert Grid() == Grid(1.0, 201)
+
+    @pytest.mark.parametrize(
+        "func",
+        [
+            stationary.solve_stationary,
+            stationary.quadrature_reconstruct,
+            stationary.verify_no_pot_shape,
+            bifurcation.sweep,
+            bifurcation.critical_curve,
+        ],
+    )
+    def test_grid_parameters_default_to_the_default_grid(self, func):
+        assert inspect.signature(func).parameters["grid"].default == Grid()
 
     def test_grid_geometry(self):
         g = Grid(1.0, 201)
@@ -304,6 +322,14 @@ class TestIntegrate:
             with pytest.raises(ValueError, match="must be positive over the domain"):
                 run()
 
+    def test_nan_diffusivity_sample_rejected(self):
+        # linspace over (-1e308, 1e308) starts [nan, inf, ...]: D(nan) is NaN
+        spec = DoubleWell(0.0, domain=(-1e308, 1e308))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="must be positive over the domain"):
+                stable_dt(Grid(1.0, 11), spec, AffineCoupling(1.0, 0.0))
+            assert stable_dt(Grid(1.0, 11), spec, ConstantCoupling(0.01)) == pytest.approx(1.6)
+
     def test_auto_dt(self):
         g = Grid(1.0, 201)
         assert stable_dt(g, DoubleWell(0.0), ConstantCoupling(0.01)) == pytest.approx(
@@ -354,11 +380,8 @@ class TestDiscreteChain:
         final = simulate_discrete_chain(3, spec, 50.0, pts.y_minus, t_end=100.0)
         assert abs(final[1] - pts.y_plus) < 1e-2
 
-    def test_matches_continuum_on_fig2(self, fig2_pot_record):
-        spec = DoubleWell(-0.01)
-        pts = find_stationary_points(spec)
-        final = simulate_discrete_chain(201, spec, 0.01, pts.y_minus, t_end=2e4)
-        assert np.max(np.abs(final - fig2_pot_record.final.values)) < 1e-2
+    def test_matches_continuum_on_fig2(self, fig2_pot_chain, fig2_pot_record):
+        assert np.max(np.abs(fig2_pot_chain - fig2_pot_record.final.values)) < 1e-2
 
     def test_uncoupled_nodes_descend_independently(self):
         spec = DoubleWell(0.01)

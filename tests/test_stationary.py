@@ -603,6 +603,12 @@ class TestVerifyNoPotShape:
         with pytest.raises(ValueError, match="must not be empty"):
             verify_no_pot_shape(DoubleWell(0.05), **lists)
 
+    def test_capped_runs_do_not_pass(self):
+        # at t_cap = 1 no run is steady: no cell is pot-shaped, none is an answer
+        report = verify_no_pot_shape(DoubleWell(0.05), [0.01], grid=Grid(1.0, 51), t_cap=1.0)
+        assert [c.classification for c in report.cells] == [OTHER] * 3
+        assert report.passed is False
+
     def test_metastable_boundary_rejected(self):
         with pytest.raises(HypothesisError):
             verify_no_pot_shape(DoubleWell(-0.05), d_list=[0.01])
