@@ -13,7 +13,7 @@ import numpy as np
 
 from .pde import Grid, check_coupling
 from .potentials import DoubleWell, brent_root, find_stationary_points
-from .stationary import OTHER, solve_stationary
+from .stationary import OTHER, _solve_cells
 
 UNRESOLVED = "Unresolved"
 
@@ -51,21 +51,22 @@ def default_sweep_box() -> tuple[np.ndarray, np.ndarray]:
     return d_values, h_values
 
 
-def _classify_cell(d: float, h: float, grid: Grid, t_cap: float) -> BifurcationCell:
+def _sweep_column(
+    h: float, d_values: list[float], grid: Grid, t_cap: float
+) -> list[BifurcationCell]:
+    """The cells of one tilt column, in d order, relaxed in one stack."""
     spec = DoubleWell(h)
-    pts = find_stationary_points(spec)
-    if not pts.is_bistable:
-        return BifurcationCell(
-            d=d,
-            h=h,
-            classification=None,
-            t_exit=0.0,
-            error=f"topology change: potential not bistable at h={h}",
+    if not find_stationary_points(spec).is_bistable:
+        error = f"topology change: potential not bistable at h={h}"
+        return [BifurcationCell(d, h, None, 0.0, error) for d in d_values]
+    sols = _solve_cells(spec, [(d, None) for d in d_values], grid, t_cap)
+    # _solve_cells labels every unsteady run Other
+    return [
+        BifurcationCell(
+            d, h, UNRESOLVED if s.classification == OTHER else s.classification, s.t_exit
         )
-    sol = solve_stationary(spec, d, grid=grid, t_cap=t_cap)
-    # solve_stationary labels every unsteady run Other
-    label = UNRESOLVED if sol.classification == OTHER else sol.classification
-    return BifurcationCell(d=d, h=h, classification=label, t_exit=sol.t_exit)
+        for d, s in zip(d_values, sols)
+    ]
 
 
 def sweep(
@@ -76,23 +77,30 @@ def sweep(
     jobs: int = 1,
 ) -> list[BifurcationCell]:
     """Classify every (d, h) cell of the DoubleWell(h) tilt plane, row-major
-    in (d, h) order, each relaxed on `grid`.
+    in (d, h) order, each relaxed on `grid` as `solve_stationary` would.
 
     The initial state is the smaller stable point of each cell's potential.
     Non-bistable cells are recorded with an error and the sweep continues.
-    Cells are independent; with jobs > 1 they run on a process pool of at
-    most one worker per cell, output order unchanged.
+    Every d of a tilt column shares DoubleWell(h), so each column relaxes in
+    one stack (`pde._relax`), cells bit-identical to solving them alone;
+    with jobs > 1 the columns run on a process pool of at most one worker
+    per column, output order unchanged.
     """
-    cells = [(float(d), float(h)) for d in d_values for h in h_values]
-    workers = min(jobs, len(cells))
+    d_values = [float(d) for d in d_values]
+    h_values = [float(h) for h in h_values]
+    if not d_values:
+        return []
+    workers = min(jobs, len(h_values))
+    args = (h_values, repeat(d_values), repeat(grid), repeat(t_cap))
     if workers > 1:
         # imported here: multiprocessing is costly to load and only a pool needs it
         from concurrent.futures import ProcessPoolExecutor
 
-        ds, hs = zip(*cells)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_classify_cell, ds, hs, repeat(grid), repeat(t_cap)))
-    return [_classify_cell(d, h, grid, t_cap) for d, h in cells]
+            columns = list(pool.map(_sweep_column, *args))
+    else:
+        columns = list(map(_sweep_column, *args))
+    return [column[i] for i in range(len(d_values)) for column in columns]
 
 
 def _dw_rest(y, z):

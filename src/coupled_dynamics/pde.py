@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -149,13 +149,14 @@ class TrajectoryRecord:
     t_final: float
 
 
-def _interior_rhs(y: np.ndarray, dx: float, gradient, coupling: Coupling) -> np.ndarray:
+def _interior_rhs(y: np.ndarray, dx: float, gradient, coupling) -> np.ndarray:
     """3-point flux-form stencil of -U'(y) - (1/2) D'(y) y_x^2 + (D(y) y_x)_x
-    on the interior nodes; `gradient` evaluates U' there."""
-    if isinstance(coupling, ConstantCoupling):
-        return -gradient(y[1:-1]) + (coupling.d * (1.0 / dx**2)) * (
-            y[2:] - 2.0 * y[1:-1] + y[:-2]
-        )
+    on the interior nodes; `gradient` evaluates U' there.  `coupling` is a
+    Coupling, or the d of a constant one: a float, or an array of one d per
+    interior node."""
+    d = coupling.d if isinstance(coupling, ConstantCoupling) else coupling
+    if not isinstance(d, Coupling):
+        return (d * (1.0 / dx**2)) * (y[2:] - 2.0 * y[1:-1] + y[:-2]) - gradient(y[1:-1])
     mid = 0.5 * (y[:-1] + y[1:])
     flux = coupling.diffusivity(mid) * np.diff(y) / dx
     slope = (y[2:] - y[:-2]) * (0.5 / dx)
@@ -274,7 +275,6 @@ def _newton_tail(
     from . import _lapack
 
     gradient = spec.gradient_unchecked
-    coupling = ConstantCoupling(d)
     k = d / dx**2
     off = np.full(len(y) - 3, -k)
     z = y.copy()
@@ -283,7 +283,7 @@ def _newton_tail(
         if info != 0:
             return None
         z[1:-1] += delta
-        r = _interior_rhs(z, dx, gradient, coupling)
+        r = _interior_rhs(z, dx, gradient, d)
         u2 = spec.curvature_unchecked(z[1:-1])
         residual = float(np.abs(r).max())
         if residual < DEFAULT_STEADY_TOL:
@@ -302,11 +302,12 @@ def _newton_tail(
 
 
 def _relax(
-    profile0: Profile, spec: Potential, d: float, t_end: float
-) -> tuple[Profile, float, float]:
-    """Relax toward a stationary profile under constant coupling d by
-    linearly implicit (Rosenbrock) Euler steps with local error control
-    (Hairer & Wanner, Solving ODEs II, IV.7):
+    profiles: Sequence[Profile], spec: Potential, ds: Sequence[float], t_end: float
+) -> list[tuple[Profile, float, float]]:
+    """Relax a stack of profiles on one grid toward stationary profiles of
+    spec, profile i under constant coupling ds[i], by linearly implicit
+    (Rosenbrock) Euler steps with local error control (Hairer & Wanner,
+    Solving ODEs II, IV.7):
 
         (I - tau J) delta = tau r(y),   y <- y + delta,
 
@@ -329,67 +330,130 @@ def _relax(
     ln(max|r| / DEFAULT_STEADY_TOL) / lambda_1 when the tail's slowest mode
     (rate lambda_1) would decay to DEFAULT_STEADY_TOL, or at t_end if that
     comes first.  Otherwise stepping goes on, and Newton is retried once
-    max|r| has fallen tenfold.  Stops once max|r| < DEFAULT_STEADY_TOL;
-    returns (final profile, max|r|, t).  Its fixed points are exactly those
-    of the 3-point stencil.
+    max|r| has fallen tenfold.  A run stops once max|r| < DEFAULT_STEADY_TOL.
+    Its fixed points are exactly those of the 3-point stencil.
+
+    The rows lie end to end in one array, so each step makes one stencil
+    call and one dgtsv call, whose off-diagonals are zero at the seams: no
+    pivot crosses a seam; after a zero pivot the other rows are solved again
+    alone and the singular row's trial counts as non-finite.  Each row keeps
+    its own tau, clock and Newton retries and leaves the stack once steady,
+    capped or Newton-finished, so its result is bit-identical to relaxing it
+    alone.  Returns (final profile, max|r|, t) for each profile, in order.
     """
     from . import _lapack
 
-    work = profile0.copy()
-    y = work.values
-    trial = y.copy()
-    dx = work.grid.dx
+    dx, n = profiles[0].grid.dx, profiles[0].grid.n_points
     gradient = spec.gradient_unchecked
     curvature = spec.curvature_unchecked
-    coupling = ConstantCoupling(d)
-    k = d / dx**2
-    neg_k = np.full(len(y) - 3, -k)
     tau0 = 1.0 / (1.0 + 0.5 * _reaction_lipschitz(spec))
-    tau = tau0
-    t = 0.0
-    newton_below = NEWTON_TAIL_TOL
-    rejected = False
-    r = _interior_rhs(y, dx, gradient, coupling)
-    u2 = curvature(y[1:-1])
-    diag = 2.0 * k + u2
+    y = np.concatenate([p.values for p in profiles])
+    rows = list(range(len(profiles)))  # the index in profiles of each row
+    ts, newton_below = [0.0] * len(rows), [NEWTON_TAIL_TOL] * len(rows)
+    lasts, rejected = [tau0 >= t_end] * len(rows), [False] * len(rows)
+    steps = [t_end if lasts[0] else tau0] * len(rows)
+    out: list = [None] * len(rows)
+
+    # one value per row at each of its interior nodes, 0 at the seams; a
+    # stack of one keeps the float, which numpy broadcasts faster
+    def spread(values):
+        return values[0] if len(values) == 1 else np.array(values + [0])[row_of]
+
+    stack = 0
     while True:
-        residual = float(np.abs(r).max())
-        if not math.isfinite(residual):
-            raise DivergenceError(t, r)
-        if residual < DEFAULT_STEADY_TOL or t >= t_end:
-            return work, residual, t
-        if residual < newton_below:
-            tail = _newton_tail(y, r, u2, dx, spec, d)
-            if tail is not None:
-                y[1:-1] = tail[0]
-                t_tail = t + math.log(residual / DEFAULT_STEADY_TOL) / tail[2]
-                return work, tail[1], min(t_tail, t_end)
-            newton_below = 0.1 * residual
-        last = t + tau >= t_end
-        step = t_end - t if last else tau
-        off = step * neg_k
-        # The four flags let dgtsv overwrite these fresh arrays in place.
-        delta, info = _lapack.dgtsv(
-            off, 1.0 + step * diag, off.copy(), step * r, True, True, True, True
-        )[3:]
-        # A singular matrix counts as a non-finite trial.
-        trial[1:-1] = y[1:-1] + delta if info == 0 else np.nan
-        r_trial = _interior_rhs(trial, dx, gradient, coupling)
-        change = float(np.abs(r_trial - r).max())
-        err = 0.5 * step * change / float(np.abs(delta).max())
-        if not math.isfinite(err):
-            err = math.inf
-        accept = step <= tau0 or err <= RELAX_ERR_TOL
-        if accept:
-            y[1:-1] = trial[1:-1]
-            r = r_trial
-            u2 = curvature(y[1:-1])
-            diag = 2.0 * k + u2
-            t = t_end if last else t + step
-        grow = 0.9 * math.sqrt(RELAX_ERR_TOL / err) if err > 0.0 else 2.0
-        cap = 1.0 if rejected else 2.0  # grow < 1 on a rejected step anyway
-        tau = max(tau0, step * min(cap, max(0.2, grow)))
-        rejected = not accept
+        if stack != len(rows):  # lay out a new stack and evaluate it
+            stack = len(rows)
+            # the stack's row at each interior node, `stack` at the seams
+            node = np.arange(1, stack * n - 1)
+            row_of = np.where((node + 1) % n < 2, stack, node // n)
+            d, k = spread([ds[i] for i in rows]), spread([ds[i] / dx**2 for i in rows])
+            two_k = 2.0 * k
+            # the off-diagonal -k, zero where it would couple a row to a seam
+            neg_k = np.where(row_of == np.append(row_of[1:], stack), -k, 0.0)
+            # reduceat segments: each row's interior nodes, then a seam
+            starts = np.array([i * n + s for i in range(stack) for s in (0, n - 2)][:-1])
+            trial = y.copy()
+            inner, trial_inner = y[1:-1], trial[1:-1]
+            r = _interior_rhs(y, dx, gradient, d)
+            u2 = curvature(inner)
+            diag = two_k + u2
+        done = []
+        for i, residual in enumerate(np.maximum.reduceat(np.abs(r), starts).tolist()[::2]):
+            t, row = ts[i], slice(i * n, i * n + n - 2)
+            if not math.isfinite(residual):
+                raise DivergenceError(t, r[row])
+            if residual < DEFAULT_STEADY_TOL or t >= t_end:
+                end = inner[row], residual, t
+            elif residual < newton_below[i]:
+                y_row = y[i * n : i * n + n]
+                end = _newton_tail(y_row, r[row], u2[row], dx, spec, ds[rows[i]])
+                if end is None:
+                    newton_below[i] = 0.1 * residual
+                    continue
+                t_tail = t + math.log(residual / DEFAULT_STEADY_TOL) / end[2]
+                end = end[0], end[1], min(t_tail, t_end)
+            else:
+                continue
+            final = profiles[rows[i]].copy()
+            final.values[1:-1] = end[0]
+            out[rows[i]] = final, end[1], end[2]
+            done.append(i)
+        if done:
+            keep = [i for i in range(len(rows)) if i not in done]
+            if not keep:
+                return out
+            y = y.reshape(len(rows), n)[keep].ravel()
+            rows, ts, steps, lasts, newton_below, rejected = (
+                [v[i] for i in keep]
+                for v in (rows, ts, steps, lasts, newton_below, rejected)
+            )
+            continue
+        col = spread(steps)
+        off = (col * neg_k)[:-1]
+        shifted = col * diag
+        shifted += 1.0
+        # dgtsv copies off as its subdiagonal and overwrites the rest in place.
+        delta, info = _lapack.dgtsv(off, shifted, off, col * r, False, True, True, True)[3:]
+        size = np.maximum.reduceat(np.abs(delta), starts).tolist()[::2]
+        if info or not math.isfinite(sum(size)):
+            # dgtsv stops at a zero pivot before it back-substitutes any row,
+            # and an overflow in one block spreads 0 * inf = NaN to the
+            # others: solve each row alone, the singular row's trial NaN.
+            delta = np.zeros_like(r)
+            for i, step in enumerate(steps):
+                row = slice(i * n, i * n + n - 2)
+                off = step * neg_k[row][:-1]
+                x, info_i = _lapack.dgtsv(off, step * diag[row] + 1.0, off, step * r[row])[3:]
+                delta[row] = x if info_i == 0 and i != (info - 1) // n else np.nan
+            size = np.maximum.reduceat(np.abs(delta), starts).tolist()[::2]
+        np.add(inner, delta, out=trial_inner)
+        r_trial = _interior_rhs(trial, dx, gradient, d)
+        change = np.maximum.reduceat(np.abs(r_trial - r), starts).tolist()[::2]
+        accepted = []
+        for i, step in enumerate(steps):
+            err = 0.5 * step * change[i] / size[i]
+            if not math.isfinite(err):
+                err = math.inf
+            t = ts[i]
+            accept = step <= tau0 or err <= RELAX_ERR_TOL
+            if accept:
+                ts[i] = t = t_end if lasts[i] else t + step
+            grow = 0.9 * math.sqrt(RELAX_ERR_TOL / err) if err > 0.0 else 2.0
+            cap = 1.0 if rejected[i] else 2.0  # grow < 1 on a rejected step anyway
+            tau = max(tau0, step * min(cap, max(0.2, grow)))
+            rejected[i] = not accept
+            accepted.append(accept)
+            lasts[i] = last = t + tau >= t_end
+            steps[i] = t_end - t if last else tau
+        if all(accepted):
+            y, trial, inner, trial_inner, r = trial, y, trial_inner, inner, r_trial
+        elif any(accepted):
+            where = np.array(accepted + [False])[row_of]
+            np.copyto(inner, trial_inner, where=where)
+            np.copyto(r, r_trial, where=where)
+        if any(accepted):
+            u2 = curvature(inner)
+            diag = two_k + u2
 
 
 def simulate_discrete_chain(

@@ -205,29 +205,45 @@ def solve_stationary(
     outside spec.domain raises DomainError before any work.  Relaxation
     takes linearly implicit Euler steps, sized by their local error, toward
     the fixed point of the second-order stencil and finishes the linear tail
-    by Newton on that stencil (see `pde._relax`), until the residual is below
-    DEFAULT_STEADY_TOL or the model time t_cap is reached.  `t_exit` is the
-    model time of the last accepted step plus, after a Newton finish, the
-    tail's extrapolated decay time ln(residual / DEFAULT_STEADY_TOL) /
-    lambda_1, lambda_1 the slowest decay rate at the fixed point, and never
-    more than t_cap.  A steady relaxation is then Newton-polished on the
-    fourth-order (Numerov) discretization until its residual is below
-    DEFAULT_STEADY_TOL; a run that hits t_cap is never polished.  `residual`
-    reports the Numerov residual of the returned profile, and `steady` is
-    True only when the polish converged; otherwise the classification is
-    Other.
+    by Newton on that stencil (`pde._relax`, a stack of one) until the
+    residual is below DEFAULT_STEADY_TOL or the model time t_cap is reached.
+    `t_exit` is the model time of the last accepted step plus, after a
+    Newton finish, the tail's extrapolated decay time ln(residual /
+    DEFAULT_STEADY_TOL) / lambda_1, lambda_1 the slowest decay rate at the
+    fixed point, and never more than t_cap.  A steady relaxation is then
+    Newton-polished on the fourth-order (Numerov) discretization until its
+    residual is below DEFAULT_STEADY_TOL; a run that hits t_cap is never
+    polished.  `residual` reports the Numerov residual of the returned
+    profile, and `steady` is True only when the polish converged; otherwise
+    the classification is Other.
     """
-    check_coupling(d)
+    return _solve_cells(spec, [(d, y0)], grid, t_cap)[0]
+
+
+def _solve_cells(
+    spec: Potential,
+    cells: Sequence[tuple[float, Optional[float]]],
+    grid: Grid,
+    t_cap: float,
+) -> list[StationarySolution]:
+    """`solve_stationary` for each (d, y0) cell of one potential (y0 None: the
+    smallest stable point), every d and y0 checked before any work; the cells
+    relax in one stack, then each is polished and reported, in order."""
+    for d, y0 in cells:
+        check_coupling(d)
+        if y0 is not None:
+            spec._check_domain(y0)
     pts = find_stationary_points(spec)
-    if y0 is None:
-        y0 = pts.y_minus
-    spec._check_domain(y0)
-    profile0 = Profile.uniform(grid, y0, boundary_value=pts.y_plus)
-    final, relax_residual, t_exit = _relax(profile0, spec, d, t_cap)
-    steady = relax_residual < DEFAULT_STEADY_TOL and _newton_polish(
-        final, spec, d, DEFAULT_STEADY_TOL
-    )
-    return _solution(final, spec, d, steady, t_exit)
+    cells = [(d, pts.y_minus if y0 is None else y0) for d, y0 in cells]
+    starts = [Profile.uniform(grid, y0, boundary_value=pts.y_plus) for _, y0 in cells]
+    ds = [d for d, _ in cells]
+    solutions = []
+    for d, (final, relax_residual, t_exit) in zip(ds, _relax(starts, spec, ds, t_cap)):
+        steady = relax_residual < DEFAULT_STEADY_TOL and _newton_polish(
+            final, spec, d, DEFAULT_STEADY_TOL
+        )
+        solutions.append(_solution(final, spec, d, steady, t_exit))
+    return solutions
 
 
 def refine_profile(
@@ -374,7 +390,8 @@ def verify_no_pot_shape(
     their optimal point y=0 becomes the largest stable point and the same
     pot-shape predicate applies; the report records the orientation used.
     A run that ends Other, say at t_cap, gives no answer and fails the sweep.
-    An empty d_list or y0_list raises ValueError before any solve.
+    An empty list, a bad d or a y0 outside the domain raises before any run;
+    the runs relax in one stack, each bit-identical to its `solve_stationary`.
     """
     if len(d_list) == 0 or (y0_list is not None and len(y0_list) == 0):
         raise ValueError("d_list and y0_list must not be empty")
@@ -400,18 +417,16 @@ def verify_no_pot_shape(
             y0_list = [pts.y_minus, y_u - 0.01, y_u + 0.01]
         else:
             y0_list = [pts.y_minus]
-    cells = []
-    for d in d_list:
-        for y0 in y0_list:
-            sol = solve_stationary(work, d, grid=grid, y0=y0, t_cap=t_cap)
-            cells.append(
-                SweepCell(
-                    d=d,
-                    y0=y0,
-                    classification=sol.classification,
-                    residual=sol.residual,
-                    first_integral_constant=sol.first_integral_constant,
-                )
-            )
+    pairs = [(d, y0) for d in d_list for y0 in y0_list]
+    cells = [
+        SweepCell(
+            d=d,
+            y0=y0,
+            classification=sol.classification,
+            residual=sol.residual,
+            first_integral_constant=sol.first_integral_constant,
+        )
+        for (d, y0), sol in zip(pairs, _solve_cells(work, pairs, grid, t_cap))
+    ]
     passed = all(c.classification == UNIFORM for c in cells)
     return NoPotShapeReport(cells=cells, passed=passed, orientation=orientation)

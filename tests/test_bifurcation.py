@@ -11,7 +11,7 @@ from coupled_dynamics.bifurcation import (
 )
 from coupled_dynamics.pde import Grid
 from coupled_dynamics.potentials import DoubleWell, brent_root
-from coupled_dynamics.stationary import POT_SHAPED, UNIFORM, solve_stationary
+from coupled_dynamics.stationary import OTHER, POT_SHAPED, UNIFORM, solve_stationary
 
 GRID = Grid(1.0, 101)
 
@@ -45,12 +45,40 @@ class TestSweep:
         assert all(l == UNIFORM for l in labels[:first_pot])
         assert all(l == POT_SHAPED for l in labels[first_pot:])
 
-    def test_jobs_deterministic_order(self):
-        serial = sweep([0.1], [-0.02, -0.2], grid=GRID, t_cap=2e3)
-        parallel = sweep([0.1], [-0.02, -0.2], grid=GRID, t_cap=2e3, jobs=2)
-        assert [(c.d, c.h, c.classification) for c in serial] == [
-            (c.d, c.h, c.classification) for c in parallel
+
+    # Columns by position: 0.0 and -0.0 are two columns, as are the two
+    # -0.05; h = 0.5 is not bistable.  At h = 0, d = 0.001 runs to t_cap.
+    STACK_D = [0.001, 0.01, 0.05]
+    STACK_H = [0.0, -0.0, -0.05, 0.5, -0.05]
+
+    def test_cells_equal_solo_solves(self):
+        # each tilt column relaxes in one stack; every cell equals its own
+        # solve_stationary exactly, in label and t_exit
+        cells = sweep(self.STACK_D, self.STACK_H, grid=GRID)
+        expected = [(d, h) for d in self.STACK_D for h in self.STACK_H]
+        assert [(c.d, c.h) for c in cells] == expected
+        assert [np.copysign(1.0, c.h) for c in cells] == [
+            np.copysign(1.0, h) for _, h in expected
         ]
+        for cell in cells:
+            if cell.h == 0.5:
+                assert cell.classification is None and cell.error is not None
+                continue
+            sol = solve_stationary(DoubleWell(cell.h), cell.d, grid=GRID, t_cap=1e4)
+            label = sol.classification
+            if label == OTHER:
+                label = bifurcation.UNRESOLVED
+            assert (cell.classification, cell.t_exit) == (label, sol.t_exit)
+        capped = cells[0]
+        assert (capped.classification, capped.t_exit) == (bifurcation.UNRESOLVED, 1e4)
+
+    def test_jobs_deterministic_order(self):
+        # the pool maps tilt columns; every field, t_exit included, matches
+        serial = sweep(self.STACK_D, self.STACK_H, grid=GRID, t_cap=3e3)
+        assert sweep(self.STACK_D, self.STACK_H, grid=GRID, t_cap=3e3, jobs=2) == serial
+
+    def test_empty_coupling_list(self):
+        assert sweep([], [0.0, -0.05], grid=GRID) == []
 
     @pytest.mark.parametrize("jobs, cells, workers", [(64, 1, None), (64, 3, 3), (2, 3, 2)])
     def test_pool_capped_at_cell_count(self, monkeypatch, jobs, cells, workers):

@@ -197,10 +197,10 @@ class TestRelaxation:
         spec = DoubleWell(-0.01)
         pts = find_stationary_points(spec)
         start = Profile.uniform(Grid(1.0, 201), pts.y_minus, boundary_value=pts.y_plus)
-        capped, residual, t = pde._relax(start, spec, 0.01, 300.0)
+        capped, residual, t = pde._relax([start], spec, [0.01], 300.0)[0]
         assert t == 300.0
         assert residual < DEFAULT_STEADY_TOL
-        free, _, t_free = pde._relax(start, spec, 0.01, 2e4)
+        free, _, t_free = pde._relax([start], spec, [0.01], 2e4)[0]
         assert t_free == pytest.approx(323.78, abs=0.01)
         assert np.array_equal(capped.values, free.values)
 
@@ -215,7 +215,7 @@ class TestRelaxation:
                 spec = DoubleWell(h)
                 pts = find_stationary_points(spec)
                 start = Profile.uniform(grid, pts.y_minus, boundary_value=pts.y_plus)
-                final, residual, _ = pde._relax(start, spec, d, 1e4)
+                final, residual, _ = pde._relax([start], spec, [d], 1e4)[0]
                 if residual >= DEFAULT_STEADY_TOL:
                     continue
                 steady += 1
@@ -234,7 +234,7 @@ class TestRelaxation:
         # plateau near 1
         grid = Grid(1.0, 101)
         start = Profile(grid, 1e-6 * np.cos(0.5 * np.pi * grid.x), boundary_value=0.0)
-        final, residual, t = pde._relax(start, DoubleWell(0.0), 0.01, 1e4)
+        final, residual, t = pde._relax([start], DoubleWell(0.0), [0.01], 1e4)[0]
         assert residual < DEFAULT_STEADY_TOL
         assert np.max(final.values) > 0.99
         assert t > 10.0
@@ -261,9 +261,50 @@ class TestRelaxation:
         start = Profile.uniform(Grid(1.0, 101), pts.y_minus, boundary_value=pts.y_plus)
         prev = start.values
         for t_end in np.geomspace(0.5, 1e3, 40):
-            final, _, _ = pde._relax(start, spec, d, t_end)
+            final, _, _ = pde._relax([start], spec, [d], t_end)[0]
             assert np.min(final.values - prev) >= -1e-12
             prev = final.values
+
+
+class TestStackedRelaxation:
+    def test_zero_pivot_rejects_only_its_row(self, monkeypatch):
+        # a stand-in dgtsv reports a zero pivot in row 1 at the 30th
+        # relaxation step, of 56 or more (the first steps are at most tau0,
+        # and those are always accepted): the other rows are re-solved and
+        # end exactly as alone, and row 1 as alone with the same zero pivot
+        grid = Grid(1.0, 51)
+        spec = DoubleWell(-0.01)
+        pts = find_stationary_points(spec)
+        start = Profile.uniform(grid, pts.y_minus, boundary_value=pts.y_plus)
+        ds = [0.003, 0.01, 0.05]
+        dgtsv = _lapack.dgtsv
+
+        def zero_pivot_once(node):
+            calls = []
+
+            def stand_in(*args):
+                out = dgtsv(*args)
+                if len(args) == 8:  # a relaxation step, not a Newton solve
+                    calls.append(None)
+                    if len(calls) == 30:
+                        return (*out[:4], node)
+                return out
+
+            return stand_in, calls
+
+        alone = [pde._relax([start], spec, [d], 1e4)[0] for d in ds]
+        stand_in, calls = zero_pivot_once(grid.n_points + 3)  # row 1, node 3
+        monkeypatch.setattr(_lapack, "dgtsv", stand_in)
+        stacked = pde._relax([start] * 3, spec, ds, 1e4)
+        assert len(calls) > 30
+        stand_in, _ = zero_pivot_once(3)
+        monkeypatch.setattr(_lapack, "dgtsv", stand_in)
+        expected = [alone[0], pde._relax([start], spec, [ds[1]], 1e4)[0], alone[2]]
+        for (final, residual, t), (want, want_residual, want_t) in zip(stacked, expected):
+            assert np.array_equal(final.values, want.values)
+            assert (residual, t) == (want_residual, want_t)
+        # the rejected step shows: row 1 does not end as it does unstubbed
+        assert stacked[1][2] != alone[1][2]
 
 
 class TestFirstIntegral:
@@ -491,7 +532,7 @@ class TestNewtonPolish:
         spec = DoubleWell(-0.12007125625564907)
         pts = find_stationary_points(spec)
         start = Profile.uniform(Grid(1.0, 101), pts.y_minus, boundary_value=pts.y_plus)
-        relaxed, residual, t = pde._relax(start, spec, 0.1, 3e3)
+        relaxed, residual, t = pde._relax([start], spec, [0.1], 3e3)[0]
         assert residual < DEFAULT_STEADY_TOL and t < 3e3
         assert classify_profile(relaxed) == POT_SHAPED
         events = []
@@ -599,9 +640,55 @@ class TestVerifyNoPotShape:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the empty list was rejected")
 
-        monkeypatch.setattr(stationary, "solve_stationary", no_solve)
+        monkeypatch.setattr(stationary, "_relax", no_solve)
         with pytest.raises(ValueError, match="must not be empty"):
             verify_no_pot_shape(DoubleWell(0.05), **lists)
+
+    @pytest.mark.parametrize(
+        "lists, error, match",
+        [
+            ({"d_list": [0.01, 0.1, -1.0]}, ValueError, "coupling constant"),
+            ({"d_list": [0.01, float("nan")]}, ValueError, "coupling constant"),
+            ({"d_list": [0.01], "y0_list": [-0.9, 0.5, 5.0]}, DomainError, r"\]: 5.0$"),
+        ],
+        ids=["negative-d", "nan-d", "y0"],
+    )
+    def test_every_cell_checked_before_any_relaxation(
+        self, lists, error, match, monkeypatch
+    ):
+        # a bad value late in a list raises before the earlier cells relax
+        def no_relax(*args):
+            raise AssertionError("relaxed before every cell was checked")
+
+        monkeypatch.setattr(stationary, "_relax", no_relax)
+        with pytest.raises(error, match=match):
+            verify_no_pot_shape(DoubleWell(0.05), grid=Grid(1.0, 51), **lists)
+
+    @pytest.mark.parametrize(
+        "spec, t_cap",
+        [
+            (DoubleWell(0.05), 2e4),
+            (DoubleWell(0.05), 30.0),
+            (LdpcBec(0.45, 3, 6), 2e4),
+            (LdpcBec(0.45, 3, 6), 30.0),
+        ],
+        ids=["double-well", "double-well-capped", "ldpc", "ldpc-capped"],
+    )
+    def test_cells_equal_solo_solves(self, spec, t_cap):
+        # the cells relax in one stack; each equals its own solve_stationary
+        # exactly, including the runs that stop at t_cap (t_cap = 30 leaves
+        # some cells Other and others Uniform)
+        grid = Grid(1.0, 51)
+        report = verify_no_pot_shape(spec, [1e-3, 1e-2, 1e-1], grid=grid, t_cap=t_cap)
+        work = ReflectedPotential(spec) if isinstance(spec, LdpcBec) else spec
+        labels = set()
+        for cell in report.cells:
+            sol = solve_stationary(work, cell.d, grid=grid, y0=cell.y0, t_cap=t_cap)
+            assert cell.classification == sol.classification
+            assert cell.residual == sol.residual
+            assert cell.first_integral_constant == sol.first_integral_constant
+            labels.add(cell.classification)
+        assert labels == ({UNIFORM} if t_cap > 30.0 else {UNIFORM, OTHER})
 
     def test_capped_runs_do_not_pass(self):
         # at t_cap = 1 no run is steady: no cell is pot-shaped, none is an answer
