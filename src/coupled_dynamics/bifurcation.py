@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,24 +51,6 @@ def default_sweep_box() -> tuple[np.ndarray, np.ndarray]:
     return d_values, h_values
 
 
-def _sweep_column(
-    h: float, d_values: list[float], grid: Grid, t_cap: float
-) -> list[BifurcationCell]:
-    """The cells of one tilt column, in d order, relaxed in one stack."""
-    spec = DoubleWell(h)
-    if not find_stationary_points(spec).is_bistable:
-        error = f"topology change: potential not bistable at h={h}"
-        return [BifurcationCell(d, h, None, 0.0, error) for d in d_values]
-    sols = _solve_cells(spec, [(d, None) for d in d_values], grid, t_cap)
-    # _solve_cells labels every unsteady run Other
-    return [
-        BifurcationCell(
-            d, h, UNRESOLVED if s.classification == OTHER else s.classification, s.t_exit
-        )
-        for d, s in zip(d_values, sols)
-    ]
-
-
 def sweep(
     d_values: Sequence[float],
     h_values: Sequence[float],
@@ -81,26 +63,40 @@ def sweep(
 
     The initial state is the smaller stable point of each cell's potential.
     Non-bistable cells are recorded with an error and the sweep continues.
-    Every d of a tilt column shares DoubleWell(h), so each column relaxes in
-    one stack (`pde._relax`), cells bit-identical to solving them alone;
-    with jobs > 1 the columns run on a process pool of at most one worker
-    per column, output order unchanged.
+    The bistable cells relax in one stack, one potential per row
+    (`pde._relax`; a tilt's cells share one DoubleWell(h) object, so 0.0
+    and -0.0 stay two tilts), each cell bit-identical to solving it alone;
+    with jobs > 1 they split into at most `jobs` contiguous stacks, one per
+    worker of a process pool, output order unchanged.
     """
     d_values = [float(d) for d in d_values]
-    h_values = [float(h) for h in h_values]
-    if not d_values:
-        return []
-    workers = min(jobs, len(h_values))
-    args = (h_values, repeat(d_values), repeat(grid), repeat(t_cap))
+    specs = [DoubleWell(float(h)) for h in h_values]
+    bistable = [find_stationary_points(spec).is_bistable for spec in specs]
+    cells = [(spec, d, None) for d in d_values for spec, ok in zip(specs, bistable) if ok]
+    n = len(cells)
+    workers = min(max(jobs, 1), n)
+    stacks = [cells[n * i // workers : n * (i + 1) // workers] for i in range(workers)]
+    args = (stacks, repeat(grid), repeat(t_cap))
     if workers > 1:
         # imported here: multiprocessing is costly to load and only a pool needs it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_sweep_column, *args))
+            solved = chain.from_iterable(list(pool.map(_solve_cells, *args)))
     else:
-        columns = list(map(_sweep_column, *args))
-    return [column[i] for i in range(len(d_values)) for column in columns]
+        solved = chain.from_iterable(map(_solve_cells, *args))
+    out = []
+    for d in d_values:
+        for spec, ok in zip(specs, bistable):
+            if not ok:
+                error = f"topology change: potential not bistable at h={spec.h}"
+                out.append(BifurcationCell(d, spec.h, None, 0.0, error))
+                continue
+            sol = next(solved)
+            # _solve_cells labels every unsteady run Other
+            label = UNRESOLVED if sol.classification == OTHER else sol.classification
+            out.append(BifurcationCell(d, spec.h, label, sol.t_exit))
+    return out
 
 
 def _dw_rest(y, z):

@@ -15,9 +15,10 @@ max-norm of its residual is below DEFAULT_STEADY_TOL.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -262,6 +263,32 @@ def _reaction_lipschitz(spec: Potential) -> float:
     return float(np.max(np.abs(spec.curvature_unchecked(ys))))
 
 
+def _per_object(fn: Callable, objects: Sequence) -> list:
+    """fn(o) for each of objects, called once per distinct object (by
+    identity: DoubleWell(0.0) == DoubleWell(-0.0), yet their U' differ in
+    the sign of a zero)."""
+    values: dict = {}
+    for o in objects:
+        if id(o) not in values:
+            values[id(o)] = fn(o)
+    return [values[id(o)] for o in objects]
+
+
+def _stack_potential(specs: Sequence[Potential], spread: Callable) -> Potential:
+    """One potential that evaluates each row of a stack under its own spec:
+    their one object when the rows share it, else the first's family with
+    each float field laid out by `spread`, one value per node (the rows
+    must then share every other field)."""
+    first = specs[0]
+    if all(spec is first for spec in specs):
+        return first
+    fields = dataclasses.fields(first)
+    floats = [f.name for f in fields if isinstance(getattr(first, f.name), float)]
+    return dataclasses.replace(
+        first, **{f: spread([getattr(spec, f) for spec in specs]) for f in floats}
+    )
+
+
 def _newton_tail(
     y: np.ndarray, r: np.ndarray, u2: np.ndarray, dx: float, spec: Potential, d: float
 ) -> Optional[tuple[np.ndarray, float, float]]:
@@ -293,19 +320,23 @@ def _newton_tail(
     move = z[1:-1] - y[1:-1]
     if min(float(move.max()), -float(move.min())) > 1e-12:
         return None
-    lam1 = float(
-        _lapack.eigvalsh_tridiagonal(
-            2.0 * k + u2, off, select="i", select_range=(0, 0)
-        )[0]
-    )
+    # the smallest eigenvalue by bisection, as scipy's eigvalsh_tridiagonal
+    # calls it for select="i", select_range=(0, 0)
+    _, w, _, _, info = _lapack.dstebz(2.0 * k + u2, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
+    lam1 = float(w[0])
     return (z[1:-1], residual, lam1) if lam1 > 0.0 else None
 
 
 def _relax(
-    profiles: Sequence[Profile], spec: Potential, ds: Sequence[float], t_end: float
+    profiles: Sequence[Profile],
+    specs: Sequence[Potential],
+    ds: Sequence[float],
+    t_end: float,
 ) -> list[tuple[Profile, float, float]]:
-    """Relax a stack of profiles on one grid toward stationary profiles of
-    spec, profile i under constant coupling ds[i], by linearly implicit
+    """Relax a stack of profiles on one grid toward stationary profiles,
+    profile i of specs[i] under constant coupling ds[i], by linearly implicit
     (Rosenbrock) Euler steps with local error control (Hairer & Wanner,
     Solving ODEs II, IV.7):
 
@@ -334,24 +365,27 @@ def _relax(
     Its fixed points are exactly those of the 3-point stencil.
 
     The rows lie end to end in one array, so each step makes one stencil
-    call and one dgtsv call, whose off-diagonals are zero at the seams: no
-    pivot crosses a seam; after a zero pivot the other rows are solved again
-    alone and the singular row's trial counts as non-finite.  Each row keeps
-    its own tau, clock and Newton retries and leaves the stack once steady,
-    capped or Newton-finished, so its result is bit-identical to relaxing it
-    alone.  Returns (final profile, max|r|, t) for each profile, in order.
+    call, one U' and one U'' call on one potential for the whole stack
+    (`_stack_potential`: the rows' own object when they share it, else
+    their family with per-node parameters) and one dgtsv call, whose
+    off-diagonals are zero at the seams: no pivot crosses a seam; after a
+    zero pivot the other rows are solved again alone and the singular row's
+    trial counts as non-finite.  Each row keeps its own tau0 (from its own
+    potential's max|U''|, taken once per distinct object), tau, clock and
+    Newton retries, runs its Newton tail on its own potential, and leaves
+    the stack once steady, capped or Newton-finished, so its result is
+    bit-identical to relaxing it alone.  Returns (final profile, max|r|, t)
+    for each profile, in order.
     """
     from . import _lapack
 
     dx, n = profiles[0].grid.dx, profiles[0].grid.n_points
-    gradient = spec.gradient_unchecked
-    curvature = spec.curvature_unchecked
-    tau0 = 1.0 / (1.0 + 0.5 * _reaction_lipschitz(spec))
+    tau0s = [1.0 / (1.0 + 0.5 * lip) for lip in _per_object(_reaction_lipschitz, specs)]
     y = np.concatenate([p.values for p in profiles])
     rows = list(range(len(profiles)))  # the index in profiles of each row
     ts, newton_below = [0.0] * len(rows), [NEWTON_TAIL_TOL] * len(rows)
-    lasts, rejected = [tau0 >= t_end] * len(rows), [False] * len(rows)
-    steps = [t_end if lasts[0] else tau0] * len(rows)
+    lasts, rejected = [tau0 >= t_end for tau0 in tau0s], [False] * len(rows)
+    steps = [t_end if last else tau0 for last, tau0 in zip(lasts, tau0s)]
     out: list = [None] * len(rows)
 
     # one value per row at each of its interior nodes, 0 at the seams; a
@@ -367,6 +401,8 @@ def _relax(
             node = np.arange(1, stack * n - 1)
             row_of = np.where((node + 1) % n < 2, stack, node // n)
             d, k = spread([ds[i] for i in rows]), spread([ds[i] / dx**2 for i in rows])
+            spec = _stack_potential([specs[i] for i in rows], spread)
+            gradient, curvature = spec.gradient_unchecked, spec.curvature_unchecked
             two_k = 2.0 * k
             # the off-diagonal -k, zero where it would couple a row to a seam
             neg_k = np.where(row_of == np.append(row_of[1:], stack), -k, 0.0)
@@ -386,7 +422,7 @@ def _relax(
                 end = inner[row], residual, t
             elif residual < newton_below[i]:
                 y_row = y[i * n : i * n + n]
-                end = _newton_tail(y_row, r[row], u2[row], dx, spec, ds[rows[i]])
+                end = _newton_tail(y_row, r[row], u2[row], dx, specs[rows[i]], ds[rows[i]])
                 if end is None:
                     newton_below[i] = 0.1 * residual
                     continue
@@ -403,9 +439,9 @@ def _relax(
             if not keep:
                 return out
             y = y.reshape(len(rows), n)[keep].ravel()
-            rows, ts, steps, lasts, newton_below, rejected = (
+            rows, tau0s, ts, steps, lasts, newton_below, rejected = (
                 [v[i] for i in keep]
-                for v in (rows, ts, steps, lasts, newton_below, rejected)
+                for v in (rows, tau0s, ts, steps, lasts, newton_below, rejected)
             )
             continue
         col = spread(steps)
@@ -430,7 +466,7 @@ def _relax(
         r_trial = _interior_rhs(trial, dx, gradient, d)
         change = np.maximum.reduceat(np.abs(r_trial - r), starts).tolist()[::2]
         accepted = []
-        for i, step in enumerate(steps):
+        for i, (step, tau0) in enumerate(zip(steps, tau0s)):
             err = 0.5 * step * change[i] / size[i]
             if not math.isfinite(err):
                 err = math.inf

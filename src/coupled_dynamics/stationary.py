@@ -27,6 +27,7 @@ from .pde import (
     DEFAULT_STEADY_TOL,
     Grid,
     Profile,
+    _per_object,
     _relax,
     check_coupling,
 )
@@ -217,28 +218,33 @@ def solve_stationary(
     profile, and `steady` is True only when the polish converged; otherwise
     the classification is Other.
     """
-    return _solve_cells(spec, [(d, y0)], grid, t_cap)[0]
+    return _solve_cells([(spec, d, y0)], grid, t_cap)[0]
 
 
 def _solve_cells(
-    spec: Potential,
-    cells: Sequence[tuple[float, Optional[float]]],
+    cells: Sequence[tuple[Potential, float, Optional[float]]],
     grid: Grid,
     t_cap: float,
 ) -> list[StationarySolution]:
-    """`solve_stationary` for each (d, y0) cell of one potential (y0 None: the
-    smallest stable point), every d and y0 checked before any work; the cells
-    relax in one stack, then each is polished and reported, in order."""
-    for d, y0 in cells:
+    """`solve_stationary` for each (spec, d, y0) cell (y0 None: the smallest
+    stable point of spec), every d and y0 checked before any work.  The
+    cells relax in one stack, one potential per row (`pde._relax`), each
+    distinct potential object's stationary points found once; then each
+    cell is polished and reported under its own potential, in order."""
+    for spec, d, y0 in cells:
         check_coupling(d)
         if y0 is not None:
             spec._check_domain(y0)
-    pts = find_stationary_points(spec)
-    cells = [(d, pts.y_minus if y0 is None else y0) for d, y0 in cells]
-    starts = [Profile.uniform(grid, y0, boundary_value=pts.y_plus) for _, y0 in cells]
-    ds = [d for d, _ in cells]
+    specs = [spec for spec, _, _ in cells]
+    starts = [
+        Profile.uniform(grid, pts.y_minus if y0 is None else y0, boundary_value=pts.y_plus)
+        for (_, _, y0), pts in zip(cells, _per_object(find_stationary_points, specs))
+    ]
+    ds = [d for _, d, _ in cells]
     solutions = []
-    for d, (final, relax_residual, t_exit) in zip(ds, _relax(starts, spec, ds, t_cap)):
+    for (spec, d, _), (final, relax_residual, t_exit) in zip(
+        cells, _relax(starts, specs, ds, t_cap)
+    ):
         steady = relax_residual < DEFAULT_STEADY_TOL and _newton_polish(
             final, spec, d, DEFAULT_STEADY_TOL
         )
@@ -417,7 +423,7 @@ def verify_no_pot_shape(
             y0_list = [pts.y_minus, y_u - 0.01, y_u + 0.01]
         else:
             y0_list = [pts.y_minus]
-    pairs = [(d, y0) for d in d_list for y0 in y0_list]
+    runs = [(work, d, y0) for d in d_list for y0 in y0_list]
     cells = [
         SweepCell(
             d=d,
@@ -426,7 +432,7 @@ def verify_no_pot_shape(
             residual=sol.residual,
             first_integral_constant=sol.first_integral_constant,
         )
-        for (d, y0), sol in zip(pairs, _solve_cells(work, pairs, grid, t_cap))
+        for (_, d, y0), sol in zip(runs, _solve_cells(runs, grid, t_cap))
     ]
     passed = all(c.classification == UNIFORM for c in cells)
     return NoPotShapeReport(cells=cells, passed=passed, orientation=orientation)

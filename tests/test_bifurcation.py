@@ -16,6 +16,31 @@ from coupled_dynamics.stationary import OTHER, POT_SHAPED, UNIFORM, solve_statio
 GRID = Grid(1.0, 101)
 
 
+def _fake_pool(monkeypatch):
+    """Stand in for ProcessPoolExecutor with a pool that records its size and
+    the stacks it is given, and maps serially, so no process is started."""
+    sizes, stacks = [], []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells, *iterables):
+            cells = list(cells)
+            stacks.extend(cells)
+            return map(fn, cells, *iterables)
+
+    # sweep imports the pool class from concurrent.futures only when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    return sizes, stacks
+
+
 class TestSweep:
     def test_fig2_cells(self):
         cells = sweep([0.01], [-0.01, 0.01], grid=GRID, t_cap=5e3)
@@ -46,13 +71,13 @@ class TestSweep:
         assert all(l == POT_SHAPED for l in labels[first_pot:])
 
 
-    # Columns by position: 0.0 and -0.0 are two columns, as are the two
-    # -0.05; h = 0.5 is not bistable.  At h = 0, d = 0.001 runs to t_cap.
+    # Tilts by position: 0.0 and -0.0 are two tilts, as are the two -0.05;
+    # h = 0.5 is not bistable.  At h = 0, d = 0.001 runs to t_cap.
     STACK_D = [0.001, 0.01, 0.05]
     STACK_H = [0.0, -0.0, -0.05, 0.5, -0.05]
 
     def test_cells_equal_solo_solves(self):
-        # each tilt column relaxes in one stack; every cell equals its own
+        # the bistable cells relax in one stack; every cell equals its own
         # solve_stationary exactly, in label and t_exit
         cells = sweep(self.STACK_D, self.STACK_H, grid=GRID)
         expected = [(d, h) for d in self.STACK_D for h in self.STACK_H]
@@ -73,7 +98,7 @@ class TestSweep:
         assert (capped.classification, capped.t_exit) == (bifurcation.UNRESOLVED, 1e4)
 
     def test_jobs_deterministic_order(self):
-        # the pool maps tilt columns; every field, t_exit included, matches
+        # the pool maps stacks of cells; every field, t_exit included, matches
         serial = sweep(self.STACK_D, self.STACK_H, grid=GRID, t_cap=3e3)
         assert sweep(self.STACK_D, self.STACK_H, grid=GRID, t_cap=3e3, jobs=2) == serial
 
@@ -82,29 +107,24 @@ class TestSweep:
 
     @pytest.mark.parametrize("jobs, cells, workers", [(64, 1, None), (64, 3, 3), (2, 3, 2)])
     def test_pool_capped_at_cell_count(self, monkeypatch, jobs, cells, workers):
-        # A stand-in pool that records its size and maps serially, so no
-        # process is started; None means the serial path ran without a pool.
-        sizes = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        # sweep imports the pool class from concurrent.futures only when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        # None means the serial path ran without a pool
+        sizes, _ = _fake_pool(monkeypatch)
         h_values = [-0.02, -0.05, -0.2][:cells]
         got = sweep([0.1], h_values, grid=GRID, t_cap=2e3, jobs=jobs)
         assert sizes == ([] if workers is None else [workers])
         assert got == sweep([0.1], h_values, grid=GRID, t_cap=2e3)
+
+    def test_jobs_split_cells_into_contiguous_stacks(self, monkeypatch):
+        # 10 cells on jobs = 3: at most 3 stacks, which laid end to end hold
+        # the cells in output order (str tells -0.0 from 0.0)
+        d_values, h_values = [0.01, 0.05], [-0.1, -0.05, -0.0, 0.0, -0.05]
+        sizes, stacks = _fake_pool(monkeypatch)
+        got = sweep(d_values, h_values, grid=GRID, t_cap=2e3, jobs=3)
+        assert sizes == [3] and 1 <= len(stacks) <= 3
+        assert [(d, str(spec.h)) for stack in stacks for spec, d, _ in stack] == [
+            (d, str(h)) for d in d_values for h in h_values
+        ]
+        assert got == sweep(d_values, h_values, grid=GRID, t_cap=2e3)
 
     def test_default_box(self):
         d_values, h_values = default_sweep_box()

@@ -293,7 +293,7 @@ class TestIntegrate:
         prof.values[7] = np.nan
         spec = DoubleWell(0.0)
         for run in (
-            lambda: _relax([prof], spec, [0.01], 10.0)[0],
+            lambda: _relax([prof], [spec], [0.01], 10.0)[0],
             lambda: integrate(prof, spec, ConstantCoupling(0.01), t_end=10.0),
         ):
             with pytest.raises(DivergenceError) as err:

@@ -197,10 +197,10 @@ class TestRelaxation:
         spec = DoubleWell(-0.01)
         pts = find_stationary_points(spec)
         start = Profile.uniform(Grid(1.0, 201), pts.y_minus, boundary_value=pts.y_plus)
-        capped, residual, t = pde._relax([start], spec, [0.01], 300.0)[0]
+        capped, residual, t = pde._relax([start], [spec], [0.01], 300.0)[0]
         assert t == 300.0
         assert residual < DEFAULT_STEADY_TOL
-        free, _, t_free = pde._relax([start], spec, [0.01], 2e4)[0]
+        free, _, t_free = pde._relax([start], [spec], [0.01], 2e4)[0]
         assert t_free == pytest.approx(323.78, abs=0.01)
         assert np.array_equal(capped.values, free.values)
 
@@ -215,7 +215,7 @@ class TestRelaxation:
                 spec = DoubleWell(h)
                 pts = find_stationary_points(spec)
                 start = Profile.uniform(grid, pts.y_minus, boundary_value=pts.y_plus)
-                final, residual, _ = pde._relax([start], spec, [d], 1e4)[0]
+                final, residual, _ = pde._relax([start], [spec], [d], 1e4)[0]
                 if residual >= DEFAULT_STEADY_TOL:
                     continue
                 steady += 1
@@ -234,7 +234,7 @@ class TestRelaxation:
         # plateau near 1
         grid = Grid(1.0, 101)
         start = Profile(grid, 1e-6 * np.cos(0.5 * np.pi * grid.x), boundary_value=0.0)
-        final, residual, t = pde._relax([start], DoubleWell(0.0), [0.01], 1e4)[0]
+        final, residual, t = pde._relax([start], [DoubleWell(0.0)], [0.01], 1e4)[0]
         assert residual < DEFAULT_STEADY_TOL
         assert np.max(final.values) > 0.99
         assert t > 10.0
@@ -261,7 +261,7 @@ class TestRelaxation:
         start = Profile.uniform(Grid(1.0, 101), pts.y_minus, boundary_value=pts.y_plus)
         prev = start.values
         for t_end in np.geomspace(0.5, 1e3, 40):
-            final, _, _ = pde._relax([start], spec, [d], t_end)[0]
+            final, _, _ = pde._relax([start], [spec], [d], t_end)[0]
             assert np.min(final.values - prev) >= -1e-12
             prev = final.values
 
@@ -292,19 +292,61 @@ class TestStackedRelaxation:
 
             return stand_in, calls
 
-        alone = [pde._relax([start], spec, [d], 1e4)[0] for d in ds]
+        alone = [pde._relax([start], [spec], [d], 1e4)[0] for d in ds]
         stand_in, calls = zero_pivot_once(grid.n_points + 3)  # row 1, node 3
         monkeypatch.setattr(_lapack, "dgtsv", stand_in)
-        stacked = pde._relax([start] * 3, spec, ds, 1e4)
+        stacked = pde._relax([start] * 3, [spec] * 3, ds, 1e4)
         assert len(calls) > 30
         stand_in, _ = zero_pivot_once(3)
         monkeypatch.setattr(_lapack, "dgtsv", stand_in)
-        expected = [alone[0], pde._relax([start], spec, [ds[1]], 1e4)[0], alone[2]]
+        expected = [alone[0], pde._relax([start], [spec], [ds[1]], 1e4)[0], alone[2]]
         for (final, residual, t), (want, want_residual, want_t) in zip(stacked, expected):
             assert np.array_equal(final.values, want.values)
             assert (residual, t) == (want_residual, want_t)
         # the rejected step shows: row 1 does not end as it does unstubbed
         assert stacked[1][2] != alone[1][2]
+
+    def test_mixed_potentials_equal_solo_runs(self, monkeypatch):
+        # rows under DoubleWell at several tilts, 0.0 next to -0.0, -0.05 as
+        # one object on two rows and as a third object, h = 0 at d = 0.001
+        # capped at t_end: the stack evaluates one DoubleWell with a per-node
+        # h, and every row equals its solo _relax, as every cell of the
+        # stacked _solve_cells equals its solve_stationary
+        grid, t_end = Grid(1.0, 101), 1e3
+        shared = DoubleWell(-0.05)
+        specs = [DoubleWell(0.0), DoubleWell(-0.0), shared, shared, DoubleWell(-0.05),
+                 DoubleWell(0.01)]
+        ds = [0.001, 0.05, 0.01, 0.05, 0.1, 0.01]
+        starts = []
+        for spec in specs:
+            pts = find_stationary_points(spec)
+            starts.append(Profile.uniform(grid, pts.y_minus, boundary_value=pts.y_plus))
+        alone = [pde._relax([p], [spec], [d], t_end)[0] for p, spec, d in zip(starts, specs, ds)]
+        layouts = []
+        stack_potential = pde._stack_potential
+
+        def recording(row_specs, spread):
+            out = stack_potential(row_specs, spread)
+            layouts.append(out.h)
+            return out
+
+        monkeypatch.setattr(pde, "_stack_potential", recording)
+        stacked = pde._relax(starts, specs, ds, t_end)
+        assert isinstance(layouts[0], np.ndarray)
+        # the first interior nodes of rows 0 and 1: h = 0.0 and -0.0
+        assert np.signbit(layouts[0][[0, grid.n_points]]).tolist() == [False, True]
+        for (final, residual, t), (want, want_residual, want_t) in zip(stacked, alone):
+            assert np.array_equal(final.values, want.values)
+            assert (residual, t) == (want_residual, want_t)
+        assert stacked[0][1] >= DEFAULT_STEADY_TOL and stacked[0][2] == t_end
+        assert all(t < t_end for _, _, t in stacked[1:])
+        cells = stationary._solve_cells(list(zip(specs, ds, [None] * 6)), grid, t_end)
+        for spec, d, sol in zip(specs, ds, cells):
+            want = solve_stationary(spec, d, grid=grid, t_cap=t_end)
+            assert np.array_equal(sol.profile.values, want.profile.values)
+            assert (sol.classification, sol.residual, sol.t_exit, sol.first_integral_constant) == (
+                want.classification, want.residual, want.t_exit, want.first_integral_constant
+            )
 
 
 class TestFirstIntegral:
@@ -532,7 +574,7 @@ class TestNewtonPolish:
         spec = DoubleWell(-0.12007125625564907)
         pts = find_stationary_points(spec)
         start = Profile.uniform(Grid(1.0, 101), pts.y_minus, boundary_value=pts.y_plus)
-        relaxed, residual, t = pde._relax([start], spec, [0.1], 3e3)[0]
+        relaxed, residual, t = pde._relax([start], [spec], [0.1], 3e3)[0]
         assert residual < DEFAULT_STEADY_TOL and t < 3e3
         assert classify_profile(relaxed) == POT_SHAPED
         events = []
