@@ -65,9 +65,11 @@ def sweep(
     Non-bistable cells are recorded with an error and the sweep continues.
     The bistable cells relax in one stack, one potential per row
     (`pde._relax`; a tilt's cells share one DoubleWell(h) object, so 0.0
-    and -0.0 stay two tilts), each cell bit-identical to solving it alone;
-    with jobs > 1 they split into at most `jobs` contiguous stacks, one per
-    worker of a process pool, output order unchanged.
+    and -0.0 stay two tilts), and its steady rows are Numerov-polished in
+    one stack (`stationary._newton_polish`), each cell bit-identical to
+    solving it alone; with jobs > 1 they split into at most `jobs`
+    contiguous stacks, one per worker of a process pool, output order
+    unchanged.
     """
     d_values = [float(d) for d in d_values]
     specs = [DoubleWell(float(h)) for h in h_values]

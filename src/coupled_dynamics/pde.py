@@ -374,8 +374,9 @@ def _relax(
     potential's max|U''|, taken once per distinct object), tau, clock and
     Newton retries, runs its Newton tail on its own potential, and leaves
     the stack once steady, capped or Newton-finished, so its result is
-    bit-identical to relaxing it alone.  Returns (final profile, max|r|, t)
-    for each profile, in order.
+    bit-identical to relaxing it alone.  The smaller stack left behind keeps
+    its rows' r and U'' sliced from the larger one, evaluating neither
+    again.  Returns (final profile, max|r|, t) for each profile, in order.
     """
     from . import _lapack
 
@@ -393,9 +394,9 @@ def _relax(
     def spread(values):
         return values[0] if len(values) == 1 else np.array(values + [0])[row_of]
 
-    stack = 0
+    stack, r = 0, None
     while True:
-        if stack != len(rows):  # lay out a new stack and evaluate it
+        if stack != len(rows):  # lay out a new stack
             stack = len(rows)
             # the stack's row at each interior node, `stack` at the seams
             node = np.arange(1, stack * n - 1)
@@ -410,8 +411,9 @@ def _relax(
             starts = np.array([i * n + s for i in range(stack) for s in (0, n - 2)][:-1])
             trial = y.copy()
             inner, trial_inner = y[1:-1], trial[1:-1]
-            r = _interior_rhs(y, dx, gradient, d)
-            u2 = curvature(inner)
+            if r is None:  # the first stack is evaluated, later ones sliced from it
+                r = _interior_rhs(y, dx, gradient, d)
+                u2 = curvature(inner)
             diag = two_k + u2
         done = []
         for i, residual in enumerate(np.maximum.reduceat(np.abs(r), starts).tolist()[::2]):
@@ -439,6 +441,10 @@ def _relax(
             if not keep:
                 return out
             y = y.reshape(len(rows), n)[keep].ravel()
+            # the kept rows' r and U'' on the interior nodes of the new stack:
+            # node m of the old stack is entry m - 1 of its interior arrays
+            take = (np.array(keep)[:, None] * n + np.arange(n)).ravel()[1:-1] - 1
+            r, u2 = r[take], u2[take]
             rows, tau0s, ts, steps, lasts, newton_below, rejected = (
                 [v[i] for i in keep]
                 for v in (rows, tau0s, ts, steps, lasts, newton_below, rejected)

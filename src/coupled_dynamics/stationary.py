@@ -29,6 +29,7 @@ from .pde import (
     Profile,
     _per_object,
     _relax,
+    _stack_potential,
     check_coupling,
 )
 from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_points
@@ -69,7 +70,7 @@ class StationarySolution:
 
 
 def _numerov_system(
-    y: np.ndarray, spec: Potential, d: float, dx: float
+    y: np.ndarray, spec: Potential, d: float | np.ndarray, dx: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fourth-order (Numerov 1924) residual of 0 = -U'(y) + D y'' at the
     interior nodes and its tridiagonal Jacobian in `solve_banded` layout.
@@ -77,18 +78,23 @@ def _numerov_system(
     The residual D (y[i+1] - 2 y[i] + y[i-1]) / dx^2 - (U'[i+1] + 10 U'[i] +
     U'[i-1]) / 12 carries the units of -U' + D y'' and is O(dx^4) on a smooth
     solution; U'' is the family's exact `curvature_unchecked`.  The gradient
-    is domain-checked, so a y outside the domain raises DomainError.
+    is domain-checked, so a y outside the domain raises DomainError.  y may
+    also be a stack of profiles, one per row, with `spec` and d broadcasting
+    over the rows; the residual then has one row per profile and the
+    Jacobian holds one band per row, (3, rows, n - 2), which flattens to the
+    stack's system: each row's corner entries are zero, so no row couples to
+    the next.
     """
     g = np.asarray(spec.gradient(y))
-    res = d * (y[2:] - 2.0 * y[1:-1] + y[:-2]) / dx**2 - (
-        g[2:] + 10.0 * g[1:-1] + g[:-2]
+    res = d * (y[..., 2:] - 2.0 * y[..., 1:-1] + y[..., :-2]) / dx**2 - (
+        g[..., 2:] + 10.0 * g[..., 1:-1] + g[..., :-2]
     ) / 12.0
-    u2 = spec.curvature_unchecked(y[1:-1])
+    u2 = spec.curvature_unchecked(y[..., 1:-1])
     off = d / dx**2 - u2 / 12.0
-    jac = np.zeros((3, len(u2)))
-    jac[0, 1:] = off[1:]
-    jac[1, :] = -2.0 * d / dx**2 - 10.0 * u2 / 12.0
-    jac[2, :-1] = off[:-1]
+    jac = np.zeros((3,) + u2.shape)
+    jac[0, ..., 1:] = off[..., 1:]
+    jac[1] = -2.0 * d / dx**2 - 10.0 * u2 / 12.0
+    jac[2, ..., :-1] = off[..., :-1]
     return res, jac
 
 
@@ -142,54 +148,111 @@ def _first_integral(profile: Profile, spec: Potential, d: float) -> np.ndarray:
 
 
 def _solution(
-    profile: Profile, spec: Potential, d: float, steady: bool, t_exit: float
+    profile: Profile, spec: Potential, d: float, t_exit: float, residual: Optional[float]
 ) -> StationarySolution:
-    """The report on a solved profile: classified when steady, else Other,
-    with its first-integral constant at the boundary and Numerov residual."""
+    """The report on a solved profile: steady, and classified, when its
+    Numerov polish left `residual` below DEFAULT_STEADY_TOL, else Other; a
+    profile never polished (residual None) is unsteady, its residual
+    measured here.  The first-integral constant is (D/2) y'^2 - U(y) at the
+    boundary node, the last entry of `_first_integral`."""
+    steady = residual is not None and residual < DEFAULT_STEADY_TOL
+    if residual is None:
+        residual = _stationary_residual(profile, spec, d)
+    slope = -(_END_WEIGHTS @ profile.values[:-6:-1]) / profile.grid.dx
     return StationarySolution(
         profile=profile,
         classification=classify_profile(profile) if steady else OTHER,
-        first_integral_constant=float(_first_integral(profile, spec, d)[-1]),
-        residual=_stationary_residual(profile, spec, d),
+        first_integral_constant=float(
+            0.5 * d * (slope * slope) - spec.potential(profile.boundary_value)
+        ),
+        residual=residual,
         steady=steady,
         t_exit=t_exit,
     )
 
 
-def _newton_polish(profile: Profile, spec: Potential, d: float, tol: float) -> bool:
-    """Damped Newton on the fourth-order (Numerov) BVP, in place, at most 30
-    iterations; returns True when the residual falls below tol.  Each
-    iteration halves lambda from 1 until the residual falls.  The start,
-    like every trial, is clipped into the domain: a relaxation that ends on
-    a fixed point at the domain edge may overshoot it by a few ulps."""
+def _newton_polish(
+    profiles: Sequence[Profile],
+    specs: Sequence[Potential],
+    ds: Sequence[float],
+    tol: float,
+) -> list[float]:
+    """Damped Newton on the fourth-order (Numerov) BVP for a stack of
+    profiles on one grid, profile i under specs[i] and ds[i], in place;
+    returns each profile's final max|residual|, below tol when it converged.
+
+    Each row makes at most 30 iterations and stops once its residual is
+    below tol; each iteration halves lambda from 1 until the row's residual
+    falls, and the row fails when lambda drops past 1e-4.  The start, like
+    every trial, is clipped into the domain: a relaxation that ends on a
+    fixed point at the domain edge may overshoot it by a few ulps.
+
+    The rows lie end to end in one array, under one potential
+    (`pde._stack_potential`: the rows' own object when they share it, else
+    their family with each float field one value per row) and one d per
+    row.  Each iteration makes one `_numerov_system` call and one
+    `solve_banded` call for the stack, whose couplings between rows are
+    zero, so no pivot crosses from one row to the next; after a singular
+    stacked system each row is solved alone, and only a singular row fails.
+    Each trial round of the line searches is one `_numerov_system` call on
+    the rows still searching.  A row leaves the stack once it converges or
+    fails, so its result is bit-identical to polishing it alone.
+    """
     from . import _lapack
 
-    y = profile.values
-    dx = profile.grid.dx
-    lo, hi = spec.domain
-    y[1:-1] = np.clip(y[1:-1], lo, hi)
-    res, jac = _numerov_system(y, spec, d, dx)
-    for _ in range(30):
-        norm = float(np.max(np.abs(res)))
-        if norm < tol:
-            return True
+    dx = profiles[0].grid.dx
+    lo, hi = specs[0].domain
+
+    def system(y, rows):  # _numerov_system of the stack of `rows` at y
+        def spread(values):  # one value per row, broadcast over its nodes
+            return np.array(values)[:, None]
+
+        spec = _stack_potential([specs[i] for i in rows], spread)
+        return _numerov_system(y, spec, spread([ds[i] for i in rows]), dx)
+
+    y = np.array([p.values for p in profiles])
+    y[:, 1:-1] = np.clip(y[:, 1:-1], lo, hi)
+    res, jac = system(y, range(len(profiles)))
+    norm = np.max(np.abs(res), axis=1)
+    iters = np.zeros(len(profiles), dtype=int)
+    failed = np.zeros(len(profiles), dtype=bool)
+    while True:
+        rows = np.flatnonzero(~failed & ~(norm < tol) & (iters < 30))
+        if not len(rows):
+            break
         try:
-            step = _lapack.solve_banded((1, 1), jac, -res)
-        except np.linalg.LinAlgError:
-            return False
-        lam = 1.0
-        while lam > 1e-4:
-            trial = y.copy()
-            trial[1:-1] = np.clip(y[1:-1] + lam * step, lo, hi)
-            res_t, jac_t = _numerov_system(trial, spec, d, dx)
-            if float(np.max(np.abs(res_t))) < norm:
-                y[1:-1] = trial[1:-1]
-                res, jac = res_t, jac_t
-                break
-            lam *= 0.5
-        else:
-            return False
-    return float(np.max(np.abs(res))) < tol
+            step = _lapack.solve_banded((1, 1), jac[:, rows].reshape(3, -1), -res[rows].ravel())
+            step = step.reshape(len(rows), -1)
+        except np.linalg.LinAlgError:  # solve each row alone; a singular one fails
+            if len(rows) == 1:
+                failed[rows] = True
+                continue
+            step = np.empty_like(res[rows])
+            for k, i in enumerate(rows):
+                try:
+                    step[k] = _lapack.solve_banded((1, 1), jac[:, i], -res[i])
+                except np.linalg.LinAlgError:
+                    failed[i] = True
+            step, rows = step[~failed[rows]], rows[~failed[rows]]
+        lam = np.ones(len(rows))
+        while len(rows):
+            trial = y[rows]
+            trial[:, 1:-1] = np.clip(trial[:, 1:-1] + lam[:, None] * step, lo, hi)
+            res_t, jac_t = system(trial, rows)
+            norm_t = np.max(np.abs(res_t), axis=1)
+            better = norm_t < norm[rows]
+            won = rows[better]
+            y[won], res[won], jac[:, won], norm[won] = (
+                trial[better], res_t[better], jac_t[:, better], norm_t[better]
+            )
+            iters[won] += 1
+            rows, step, lam = rows[~better], step[~better], 0.5 * lam[~better]
+            spent = ~(lam > 1e-4)
+            failed[rows[spent]] = True
+            rows, step, lam = rows[~spent], step[~spent], lam[~spent]
+    for p, values in zip(profiles, y):
+        p.values[1:-1] = values[1:-1]
+    return norm.tolist()
 
 
 def solve_stationary(
@@ -213,10 +276,10 @@ def solve_stationary(
     DEFAULT_STEADY_TOL) / lambda_1, lambda_1 the slowest decay rate at the
     fixed point, and never more than t_cap.  A steady relaxation is then
     Newton-polished on the fourth-order (Numerov) discretization until its
-    residual is below DEFAULT_STEADY_TOL; a run that hits t_cap is never
-    polished.  `residual` reports the Numerov residual of the returned
-    profile, and `steady` is True only when the polish converged; otherwise
-    the classification is Other.
+    residual is below DEFAULT_STEADY_TOL (`_newton_polish`, a stack of
+    one); a run that hits t_cap is never polished.  `residual` reports the
+    Numerov residual of the returned profile, and `steady` is True only when
+    the polish converged; otherwise the classification is Other.
     """
     return _solve_cells([(spec, d, y0)], grid, t_cap)[0]
 
@@ -229,8 +292,10 @@ def _solve_cells(
     """`solve_stationary` for each (spec, d, y0) cell (y0 None: the smallest
     stable point of spec), every d and y0 checked before any work.  The
     cells relax in one stack, one potential per row (`pde._relax`), each
-    distinct potential object's stationary points found once; then each
-    cell is polished and reported under its own potential, in order."""
+    distinct potential object's stationary points found once; the rows that
+    end steady are polished in one stack (`_newton_polish`), and each cell
+    is reported under its own potential, in order, with the residual its
+    polish returned (measured anew only on a row never polished)."""
     for spec, d, y0 in cells:
         check_coupling(d)
         if y0 is not None:
@@ -241,15 +306,19 @@ def _solve_cells(
         for (_, _, y0), pts in zip(cells, _per_object(find_stationary_points, specs))
     ]
     ds = [d for _, d, _ in cells]
-    solutions = []
-    for (spec, d, _), (final, relax_residual, t_exit) in zip(
-        cells, _relax(starts, specs, ds, t_cap)
-    ):
-        steady = relax_residual < DEFAULT_STEADY_TOL and _newton_polish(
-            final, spec, d, DEFAULT_STEADY_TOL
-        )
-        solutions.append(_solution(final, spec, d, steady, t_exit))
-    return solutions
+    relaxed = _relax(starts, specs, ds, t_cap)
+    steady = [i for i, (_, residual, _) in enumerate(relaxed) if residual < DEFAULT_STEADY_TOL]
+    polished = steady and _newton_polish(
+        [relaxed[i][0] for i in steady],
+        [specs[i] for i in steady],
+        [ds[i] for i in steady],
+        DEFAULT_STEADY_TOL,
+    )
+    residuals = dict(zip(steady, polished))
+    return [
+        _solution(final, spec, d, t_exit, residuals.get(i))
+        for i, (spec, d, (final, _, t_exit)) in enumerate(zip(specs, ds, relaxed))
+    ]
 
 
 def refine_profile(
@@ -257,8 +326,9 @@ def refine_profile(
 ) -> StationarySolution:
     """Transfer a stationary solution to a finer grid and re-converge it.
 
-    The profile is moved by linear interpolation and polished with the
-    damped Newton pass on the fourth-order (Numerov) discretization, which
+    The profile is moved by linear interpolation and polished, a stack of
+    one, by the damped Newton pass on the fourth-order (Numerov)
+    discretization (`_newton_polish`), which
     removes the transfer error and is far cheaper than relaxing anew on fine
     grids; `residual` is the Numerov residual.  Intended for
     grid-convergence studies.
@@ -267,12 +337,13 @@ def refine_profile(
     src = solution.profile
     vals = np.interp(grid.x, src.grid.x, src.values)
     new = Profile(grid, vals, boundary_value=src.boundary_value)
-    if not _newton_polish(new, spec, d, DEFAULT_STEADY_TOL):
+    (residual,) = _newton_polish([new], [spec], [d], DEFAULT_STEADY_TOL)
+    if not residual < DEFAULT_STEADY_TOL:
         raise NotSteadyError(
             f"Newton polish failed to reach residual {DEFAULT_STEADY_TOL:g} on the"
             f" refined grid (n={grid.n_points})"
         )
-    return _solution(new, spec, d, True, 0.0)
+    return _solution(new, spec, d, 0.0, residual)
 
 
 def first_integral(
@@ -397,7 +468,8 @@ def verify_no_pot_shape(
     pot-shape predicate applies; the report records the orientation used.
     A run that ends Other, say at t_cap, gives no answer and fails the sweep.
     An empty list, a bad d or a y0 outside the domain raises before any run;
-    the runs relax in one stack, each bit-identical to its `solve_stationary`.
+    the runs relax in one stack and their steady ends are polished in one
+    stack (`_solve_cells`), each bit-identical to its `solve_stationary`.
     """
     if len(d_list) == 0 or (y0_list is not None and len(y0_list) == 0):
         raise ValueError("d_list and y0_list must not be empty")

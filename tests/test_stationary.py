@@ -348,8 +348,53 @@ class TestStackedRelaxation:
                 want.classification, want.residual, want.t_exit, want.first_integral_constant
             )
 
+    def test_rows_leaving_are_not_evaluated_again(self, monkeypatch):
+        # rows leave at steps 0 (steady at the start), 22 and 24 (capped):
+        # the kept rows' r and U'' are sliced from the larger stack, so the
+        # stencil runs once for the first stack and once per step
+        grid, t_end = Grid(1.0, 101), 5.0
+        specs, ds = [DoubleWell(0.05), DoubleWell(-0.01), DoubleWell(-0.05)], [0.01, 0.1, 0.01]
+        pts = [find_stationary_points(spec) for spec in specs]
+        starts = [Profile.uniform(grid, pts[0].y_plus)] + [
+            Profile.uniform(grid, p.y_minus, boundary_value=p.y_plus) for p in pts[1:]
+        ]
+        alone = [pde._relax([p], [spec], [d], t_end)[0] for p, spec, d in zip(starts, specs, ds)]
+        calls = {"_interior_rhs": 0, "steps": 0}
+        interior_rhs, dgtsv = pde._interior_rhs, _lapack.dgtsv
+
+        def counted_rhs(*args):
+            calls["_interior_rhs"] += 1
+            return interior_rhs(*args)
+
+        def counted_dgtsv(*args):
+            calls["steps"] += len(args) == 8  # a relaxation step, not a Newton solve
+            return dgtsv(*args)
+
+        monkeypatch.setattr(pde, "_interior_rhs", counted_rhs)
+        monkeypatch.setattr(_lapack, "dgtsv", counted_dgtsv)
+        stacked = pde._relax(starts, specs, ds, t_end)
+        assert calls["_interior_rhs"] == 1 + calls["steps"] == 25
+        assert stacked[0][2] == 0.0 and stacked[1][2] == stacked[2][2] == t_end
+        for (final, residual, t), (want, want_residual, want_t) in zip(stacked, alone):
+            assert np.array_equal(final.values, want.values)
+            assert (residual, t) == (want_residual, want_t)
+
 
 class TestFirstIntegral:
+    def test_constant_read_at_the_boundary_node(self, fig2_pot):
+        # the report's constant is the last entry of the full profile's
+        # first integral, taken from the end slope and U(y_b) alone
+        spec, sol = fig2_pot
+        ldpc = ReflectedPotential(LdpcBec(0.45, 3, 6))
+        cases = [
+            (sol, spec, 0.01),
+            (solve_stationary(ldpc, 0.01, grid=Grid(1.0, 101)), ldpc, 0.01),
+            (refine_profile(sol, spec, 0.01, Grid(1.0, 401)), spec, 0.01),
+        ]
+        for solution, potential, d in cases:
+            want = stationary._first_integral(solution.profile, potential, d)[-1]
+            assert solution.first_integral_constant == want
+
     def test_uniform_constant(self):
         spec = DoubleWell(0.05)
         y_plus = find_stationary_points(spec).y_plus
@@ -563,7 +608,8 @@ class TestNewtonPolish:
         spec = ReflectedPotential(LdpcBec(0.45, 3, 6))
         grid = Grid(1.0, 101)
         profile = Profile(grid, np.full(grid.n_points, 1e-14), boundary_value=0.0)
-        assert stationary._newton_polish(profile, spec, 0.005, DEFAULT_STEADY_TOL)
+        (residual,) = stationary._newton_polish([profile], [spec], [0.005], DEFAULT_STEADY_TOL)
+        assert residual < DEFAULT_STEADY_TOL
         assert np.all(profile.values == 0.0)
 
     def test_exhausted_backtracking_fails(self, monkeypatch):
@@ -590,11 +636,71 @@ class TestNewtonPolish:
 
         recording(stationary, "_numerov_system", "N")
         recording(_lapack, "solve_banded", "S")
-        assert not stationary._newton_polish(relaxed, spec, 0.1, DEFAULT_STEADY_TOL)
+        (residual,) = stationary._newton_polish([relaxed], [spec], [0.1], DEFAULT_STEADY_TOL)
+        assert not residual < DEFAULT_STEADY_TOL
         assert events.count("S") < 30
         assert "".join(events).endswith("S" + "N" * 14)
         sol = solve_stationary(spec, 0.1, grid=Grid(1.0, 101), t_cap=3e3)
         assert sol.classification == OTHER and not sol.steady
+
+    def test_stack_equals_stacks_of_one(self, monkeypatch):
+        # rows: Uniform (no iteration), the two polishes that backtrack to
+        # lambda < 1, the exhausted backtracking above, and a marked row on
+        # which a stand-in solve_banded raises LinAlgError; each row ends as
+        # its polish as a stack of one does, and only the marked row fails
+        # by the stand-in
+        grid, tol = Grid(1.0, 101), DEFAULT_STEADY_TOL
+        specs = [DoubleWell(0.05), DoubleWell(-1e-4), DoubleWell(-1e-4),
+                 DoubleWell(-0.12007125625564907), DoubleWell(0.05)]
+        ds = [0.01, 0.001, 0.01, 0.1, 50.0]
+        t_caps = [None, 2e4, 2e4, 3e3, None]
+        y_plus = find_stationary_points(specs[0]).y_plus
+        profiles = [Profile.uniform(grid, y_plus)]
+        for spec, d, t_cap in zip(specs[1:4], ds[1:4], t_caps[1:4]):
+            pts = find_stationary_points(spec)
+            start = Profile.uniform(grid, pts.y_minus, boundary_value=pts.y_plus)
+            profiles.append(pde._relax([start], [spec], [d], t_cap)[0][0])
+        bump = y_plus + 1e-3 * np.cos(0.5 * np.pi * grid.x)
+        profiles.append(Profile(grid, bump, boundary_value=y_plus))
+        # J's diagonal is about -2 d / dx^2: -2.5e5 on the marked row (d = 50),
+        # at most about 500 in size on the others
+        solve_banded, events = _lapack.solve_banded, []
+
+        def singular_on_mark(l_and_u, ab, b):
+            events.append("S")
+            if np.max(np.abs(ab[1])) > 1e5:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve_banded(l_and_u, ab, b)
+
+        marked = profiles[4].copy()
+        (residual,) = stationary._newton_polish([marked], specs[4:], ds[4:], tol)
+        assert residual < tol
+        numerov_system = stationary._numerov_system
+
+        def recorded(*args):
+            events.append("N")
+            return numerov_system(*args)
+
+        monkeypatch.setattr(_lapack, "solve_banded", singular_on_mark)
+        monkeypatch.setattr(stationary, "_numerov_system", recorded)
+        alone, traces = [], []
+        for p, spec, d in zip(profiles, specs, ds):
+            one = p.copy()
+            events.clear()
+            alone.append((one, stationary._newton_polish([one], [spec], [d], tol)[0]))
+            traces.append("".join(events))
+        stack = [p.copy() for p in profiles]
+        residuals = stationary._newton_polish(stack, specs, ds, tol)
+        for p, residual, (want, want_residual) in zip(stack, residuals, alone):
+            assert np.array_equal(p.values, want.values)
+            assert residual == want_residual
+        assert [r < tol for r in residuals] == [True, True, True, False, False]
+        # no solve on the Uniform row; a trial past lambda = 1 on the next
+        # two (more trials than solves); the marked row fails at its solve
+        assert traces[0] == "N" and traces[4] == "NS"
+        assert all(t.count("N") - 1 > t.count("S") > 0 for t in traces[1:3])
+        assert traces[3].endswith("S" + "N" * 14)
+        assert np.array_equal(stack[4].values, profiles[4].values)
 
 
 class TestRefineProfile:
@@ -630,7 +736,9 @@ class TestRefineProfile:
             sol = refine_profile(sol, spec, d, grid)
             moved = CubicSpline(spline.grid.x, spline.values)(grid.x)
             spline = Profile(grid, moved, boundary_value=spline.boundary_value)
-            assert stationary._newton_polish(spline, spec, d, 0.1 * DEFAULT_STEADY_TOL)
+            tol = 0.1 * DEFAULT_STEADY_TOL
+            (residual,) = stationary._newton_polish([spline], [spec], [d], tol)
+            assert residual < tol
         assert sol.classification == POT_SHAPED
         assert np.max(np.abs(sol.profile.values - spline.values)) < 1e-9
 
@@ -640,7 +748,7 @@ class TestRefineProfile:
             refine_profile(sol, spec, 0.0, Grid(1.0, 401))
 
     def test_failed_polish_raises_not_steady(self, fig2_pot, monkeypatch):
-        monkeypatch.setattr(stationary, "_newton_polish", lambda *args: False)
+        monkeypatch.setattr(stationary, "_newton_polish", lambda *args: [1.0])
         spec, sol = fig2_pot
         with pytest.raises(NotSteadyError, match=r"refined grid \(n=401\)"):
             refine_profile(sol, spec, 0.01, Grid(1.0, 401))
