@@ -277,13 +277,20 @@ def _per_object(fn: Callable, objects: Sequence) -> list:
 def _stack_potential(specs: Sequence[Potential], spread: Callable) -> Potential:
     """One potential that evaluates each row of a stack under its own spec:
     their one object when the rows share it, else the first's family with
-    each float field laid out by `spread`, one value per node (the rows
-    must then share every other field)."""
+    each float field laid out by `spread`, one value per node.  Rows that
+    differ in another field raise ValueError: a nested potential must be
+    the same object (DoubleWell(0.0) == DoubleWell(-0.0)), any other field
+    equal."""
     first = specs[0]
     if all(spec is first for spec in specs):
         return first
     fields = dataclasses.fields(first)
     floats = [f.name for f in fields if isinstance(getattr(first, f.name), float)]
+    for name in (f.name for f in fields if f.name not in floats):
+        value = getattr(first, name)
+        nested = isinstance(value, Potential)  # compared by identity
+        if any(getattr(s, name) is not value if nested else getattr(s, name) != value for s in specs):
+            raise ValueError(f"the rows of a stack differ in {name}, which is not laid out per node")
     return dataclasses.replace(
         first, **{f: spread([getattr(spec, f) for spec in specs]) for f in floats}
     )

@@ -6,7 +6,8 @@ ensembles over the binary erasure channel, plus the mirror image of either.
 Each exposes the potential and its first two derivatives in closed form, and
 its stationary points from its own structure: the roots of a cubic, level
 crossings of a unimodal ratio, or the mirrored roots of the base.  The module
-also finds the equal-height (Maxwell) parameter of a bistable family.
+also finds the equal-height (Maxwell) parameter of a bistable family, whose
+probes solve only for the stable roots (`Potential.stable_roots`).
 """
 from __future__ import annotations
 
@@ -61,7 +62,7 @@ class Potential:
         domain (and its index, for arrays).  NaN passes."""
         arr = np.asarray(y, dtype=float)
         lo, hi = self.domain
-        if np.any(arr < lo) or np.any(arr > hi):
+        if (arr < lo).any() or (arr > hi).any():
             idx = tuple(int(i) for i in np.argwhere((arr < lo) | (arr > hi))[0])
             where = f" at index {idx[0] if len(idx) == 1 else idx}" if idx else ""
             raise DomainError(
@@ -85,6 +86,11 @@ class Potential:
         where U has a local minimum; `find_stationary_points` keeps those in
         the domain."""
         raise NotImplementedError
+
+    def stable_roots(self) -> list[float]:
+        """The stable roots of dU/dy, sorted: those of `stationary_roots`,
+        which a family may find without solving for its unstable roots."""
+        return sorted(y for y, stable in self.stationary_roots() if stable)
 
 
 def _maybe_scalar(arr, template):
@@ -177,16 +183,15 @@ class LdpcBec(Potential):
         t = 1.0 - arr
         return 1.0 - self.epsilon * n * m * (1.0 - t**m) ** (n - 1) * t ** (m - 1)
 
-    def stationary_roots(self):
-        """y = 0, and the level crossings eps(x) = epsilon in (0, 1] of
-        eps(x) = x / g(x)^n, g(x) = 1 - (1-x)^m, n = dv - 1, m = dc - 1
-        (Richardson & Urbanke, Modern Coding Theory, 2008), where dU/dy =
-        x - epsilon g(x)^n changes sign.
+    def stable_roots(self):
+        """The stable roots among y = 0 and the level crossings
+        eps(x) = epsilon in (0, 1] of eps(x) = x / g(x)^n, g(x) = 1 - (1-x)^m,
+        n = dv - 1, m = dc - 1 (Richardson & Urbanke, Modern Coding Theory,
+        2008), where dU/dy = x - epsilon g(x)^n changes sign.
 
         For n, m >= 2, eps(x) falls from +inf to its minimum at x_BP
         (`_ldpc_x_bp`), then rises to eps(1) = 1.  Below the minimum 0 is
-        the only root; above it an unstable root lies in [a, x_BP], where
-        g(x) <= m x makes dU/dy(a) > 0, and a stable one x+ in
+        the only root; above it 0 is stable, and so is x+ in
         [x_BP, epsilon], exactly 1 at epsilon = 1.  For n = 1 dU/dy is convex
         with slope 1 - epsilon m at 0: 0 is stable if that slope is >= 0,
         else unstable with a stable root x+ in [the minimum of dU/dy,
@@ -199,26 +204,36 @@ class LdpcBec(Potential):
         n, m, eps = self.dv - 1, self.dc - 1, self.epsilon
         grad = self.gradient_unchecked  # on floats here
         if m == 1:
-            if eps < 1.0:
-                return [(0.0, True)]
-            if n == 1:
+            if n == 1 and eps == 1.0:
                 raise ValueError("dU/dy vanishes identically for dv = dc = 2, epsilon = 1")
-            return [(0.0, True), (1.0, False)]
+            return [0.0]
         if n == 1:
             if eps * m <= 1.0:
-                return [(0.0, True)]
+                return [0.0]
             lo = 1.0 - (eps * m) ** (-1.0 / (m - 1))  # the minimum of dU/dy
-            return [(0.0, False), (brent_root(grad, lo, eps, _ROOT_XTOL), True)]
+            return [brent_root(grad, lo, eps, _ROOT_XTOL)]
         x_bp = _ldpc_x_bp(n, m)
         g_bp = grad(x_bp)
         if not g_bp < 0.0:
-            return [(0.0, True)]
-        a = min(0.5 * (eps * m**n) ** (-1.0 / (n - 1)), 0.5 * x_bp)
-        return [
-            (0.0, True),
-            (brent_root(grad, a, x_bp, _ROOT_XTOL, fb=g_bp), False),
-            (brent_root(grad, x_bp, eps, _ROOT_XTOL, fa=g_bp), True),
-        ]
+            return [0.0]
+        return [0.0, brent_root(grad, x_bp, eps, _ROOT_XTOL, fa=g_bp)]
+
+    def stationary_roots(self):
+        """`stable_roots`, and the unstable roots beside and between them.
+        y = 0 is a root at every epsilon and y = 1 one at epsilon = 1, each
+        unstable where `stable_roots` does not list it (0 for n = 1 once
+        epsilon m > 1, 1 for m = 1).  Between the two stable roots of
+        n, m >= 2 lies an unstable one in [a, x_BP], where g(x) <= m x makes
+        dU/dy(a) > 0."""
+        stable = self.stable_roots()
+        ends = (0.0, 1.0) if self.epsilon == 1.0 else (0.0,)
+        roots = [(y, True) for y in stable] + [(y, False) for y in ends if y not in stable]
+        if len(stable) == 2:
+            n, m = self.dv - 1, self.dc - 1
+            x_bp = _ldpc_x_bp(n, m)
+            a = min(0.5 * (self.epsilon * m**n) ** (-1.0 / (n - 1)), 0.5 * x_bp)
+            roots.append((brent_root(self.gradient_unchecked, a, x_bp, _ROOT_XTOL), False))
+        return sorted(roots)
 
 
 @lru_cache(maxsize=128)
@@ -277,6 +292,9 @@ class ReflectedPotential(Potential):
 
     def stationary_roots(self):
         return [(-y, stable) for y, stable in reversed(self.base.stationary_roots())]
+
+    def stable_roots(self):
+        return [-y for y in reversed(self.base.stable_roots())]
 
 
 @dataclass(frozen=True)
@@ -403,20 +421,23 @@ def equal_height_parameter(
 
     `brent_root` on the height difference U(y_minus) - U(y_plus), which is
     smooth in the parameter (Yedla, Jian, Nguyen & Pfister, 2012), to within
-    tol.  The bracket ends may come in either order.  Requires bistability at
-    every probed parameter, a sign change across the bracket and tol > 0.
+    tol.  Each probe reads the outer two of the stable roots in the domain
+    (`Potential.stable_roots`), so it solves for no unstable root.  The
+    bracket ends may come in either order.  Requires bistability at every
+    probed parameter, a sign change across the bracket and tol > 0.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
 
     def height_diff(p: float) -> float:
         spec = make_spec(p)
-        pts = find_stationary_points(spec)
-        if not pts.is_bistable:
+        lo, hi = spec.domain
+        wells = [y for y in spec.stable_roots() if lo <= y <= hi]
+        if len(wells) < 2:
             raise TopologyChangeError(
                 f"potential is not bistable at parameter {p}", p
             )
-        u_minus, u_plus = spec.potential(np.array([pts.y_minus, pts.y_plus]))
+        u_minus, u_plus = spec.potential(np.array([wells[0], wells[-1]]))
         return float(u_minus - u_plus)
 
     a, b = float(param_interval[0]), float(param_interval[1])

@@ -516,6 +516,10 @@ class TestBrentRoot:
         assert brent_root(height_diff, b, a, 1e-10, fa=fb, fb=fa) == brentq(
             height_diff, b, a, xtol=1e-10
         )
+        # equal_height_parameter's probes read the stable roots alone, and
+        # land on the same float as this probe through find_stationary_points
+        value = brentq(height_diff, a, b, xtol=1e-10)
+        assert equal_height_parameter(lambda e: LdpcBec(e, dv, dc), (a, b)) == value
 
     def test_exact_zero_at_an_end_returns_it(self):
         def f(x):
@@ -543,6 +547,63 @@ class TestBrentRoot:
 
         with pytest.raises(RuntimeError, match="100 iterations"):
             brent_root(step, -1.0, 1.0, 1e-300)
+
+
+def stable_from_stationary(spec):
+    return sorted(y for y, stable in spec.stationary_roots() if stable)
+
+
+class TestStableRoots:
+    """`stable_roots` is exactly the stable part of `stationary_roots`, for
+    each family, its mirror image and every branch of the LDPC cases."""
+
+    @staticmethod
+    def assert_stable(spec):
+        assert spec.stable_roots() == stable_from_stationary(spec), spec
+        refl = ReflectedPotential(spec)
+        assert refl.stable_roots() == stable_from_stationary(refl), refl
+
+    def test_double_well_both_sides_of_the_fold(self):
+        for h in [float(h) for h in np.linspace(-0.5, 0.5, 101)] + [
+            s * FOLD + t for s in (1, -1) for t in (-1e-6, 1e-6)
+        ]:
+            self.assert_stable(DoubleWell(h))
+        assert len(DoubleWell(0.1).stable_roots()) == 2
+        assert len(DoubleWell(0.5).stable_roots()) == 1
+
+    @pytest.mark.parametrize("dv", [3, 4, 5, 6, 7, 8])
+    def test_ldpc_pool(self, dv):
+        # below epsilon_BP, between epsilon_BP and dv/dc, and at 1
+        for dc in sorted(c for v, c in LDPC_POOL if v == dv):
+            bp = bp_threshold(dv, dc)
+            for eps, count in ((0.9 * bp, 1), (0.5 * (bp + dv / dc), 2), (1.0, 2)):
+                spec = LdpcBec(eps, dv, dc)
+                self.assert_stable(spec)
+                assert len(spec.stable_roots()) == count, spec
+
+    @pytest.mark.parametrize("dc", [3, 4, 6, 9])
+    def test_ldpc_dv_2(self, dc):
+        # 0 is stable while epsilon (dc - 1) <= 1, else the one stable root
+        # is x+ > 0
+        for eps in (0.5 / (dc - 1), 1.0 / (dc - 1), 1.5 / (dc - 1), 1.0):
+            spec = LdpcBec(eps, 2, dc)
+            self.assert_stable(spec)
+            assert (spec.stable_roots() == [0.0]) == (eps * (dc - 1) <= 1.0)
+
+    @pytest.mark.parametrize("dv", [3, 5, 8])
+    def test_ldpc_dc_2(self, dv):
+        # 0 is the one stable root; at epsilon = 1 the root 1 is unstable
+        for eps in (0.5, 1.0):
+            spec = LdpcBec(eps, dv, 2)
+            self.assert_stable(spec)
+            assert spec.stable_roots() == [0.0]
+        assert LdpcBec(1.0, dv, 2).stationary_roots() == [(0.0, True), (1.0, False)]
+
+    def test_ldpc_2_2_at_full_erasure_rejected(self):
+        for spec in (LdpcBec(1.0, 2, 2), ReflectedPotential(LdpcBec(1.0, 2, 2))):
+            for roots in (spec.stable_roots, spec.stationary_roots):
+                with pytest.raises(ValueError, match="vanishes identically"):
+                    roots()
 
 
 class TestEqualHeightParameter:
@@ -595,22 +656,29 @@ class TestEqualHeightParameter:
             equal_height_parameter(DoubleWell, (-0.5, 0.1))
         assert info.value.parameter == -0.5
 
+    def test_monostable_ldpc_probe_raises_topology_change(self):
+        # LdpcBec(0.40, 3, 6) is below epsilon_BP = 0.4294: 0 is its only root
+        with pytest.raises(TopologyChangeError) as info:
+            equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.40, 0.5))
+        assert info.value.parameter == 0.40
+
     def test_bracket_ends_evaluated_once(self, monkeypatch):
         # both end values are computed once and handed to brent_root, which
         # does not evaluate them again
         calls = []
+        stable_roots = LdpcBec.stable_roots
 
         def counted(spec):
             calls.append(spec)
-            return find_stationary_points(spec)
+            return stable_roots(spec)
 
-        monkeypatch.setattr(potentials, "find_stationary_points", counted)
+        monkeypatch.setattr(LdpcBec, "stable_roots", counted)
         equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6))
         assert len(calls) == 9
 
     def test_gradient_evaluations_counted(self, monkeypatch):
-        # every dU/dy evaluation of the root solves at all 9 probes (201
-        # while the stable root was bracketed by [x_BP, 1])
+        # every dU/dy evaluation of the stable-root solves at all 9 probes;
+        # no probe solves for the unstable root
         calls = []
         unchecked = LdpcBec.gradient_unchecked
 
@@ -620,7 +688,7 @@ class TestEqualHeightParameter:
 
         monkeypatch.setattr(LdpcBec, "gradient_unchecked", counted)
         equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6))
-        assert len(calls) == 170
+        assert len(calls) == 92
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_nonpositive_tol_rejected(self, tol):

@@ -348,6 +348,25 @@ class TestStackedRelaxation:
                 want.classification, want.residual, want.t_exit, want.first_integral_constant
             )
 
+    def test_rows_differing_in_a_field_not_laid_out_per_node_raise(self):
+        # ReflectedPotential's one field is its base, which cannot be laid
+        # out per node: a stack must not run the second row under the first
+        # row's base (eps = 0.5 is PotShaped alone, eps = 0.45 Uniform)
+        specs = [ReflectedPotential(LdpcBec(0.45, 3, 6)), ReflectedPotential(LdpcBec(0.5, 3, 6))]
+        cells = [(spec, 0.01, None) for spec in specs]
+        with pytest.raises(ValueError, match="differ in base"):
+            stationary._solve_cells(cells, Grid(1.0, 51), 1e4)
+        # the same base object on both rows stacks
+        base = LdpcBec(0.5, 3, 6)
+        shared = [(ReflectedPotential(base), 0.01, None) for _ in range(2)]
+        want = solve_stationary(shared[0][0], 0.01, grid=Grid(1.0, 51))
+        for sol in stationary._solve_cells(shared, Grid(1.0, 51), 1e4):
+            assert np.array_equal(sol.profile.values, want.profile.values)
+            assert sol.classification == want.classification == POT_SHAPED
+        # rows that differ in an integer field raise as well
+        with pytest.raises(ValueError, match="differ in dc"):
+            pde._stack_potential([LdpcBec(0.5, 3, 6), LdpcBec(0.5, 3, 7)], np.array)
+
     def test_rows_leaving_are_not_evaluated_again(self, monkeypatch):
         # rows leave at steps 0 (steady at the start), 22 and 24 (capped):
         # the kept rows' r and U'' are sliced from the larger stack, so the
