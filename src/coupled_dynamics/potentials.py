@@ -3,7 +3,9 @@
 Two families are provided: a tilted double-well polynomial and the potential
 whose gradient reproduces the density-evolution recursion of regular LDPC
 ensembles over the binary erasure channel, plus the mirror image of either.
-Each exposes the potential and its first two derivatives in closed form, and
+Each states U, U' and U'' in closed form as array formulas without a domain
+check (`potential_unchecked`, `gradient_unchecked`, `curvature_unchecked`),
+and the base class's `potential` checks the domain in front of U.  Each finds
 its stationary points from its own structure: the roots of a cubic, level
 crossings of a unimodal ratio, or the mirrored roots of the base.  The module
 also finds the equal-height (Maxwell) parameter of a bistable family, whose
@@ -52,7 +54,8 @@ class Potential:
     domain: tuple[float, float]
 
     def potential(self, y):
-        raise NotImplementedError
+        """U(y) behind the domain check; a float for a scalar or 0-d y."""
+        return _maybe_scalar(self.potential_unchecked(self._check_domain(y)), y)
 
     def gradient(self, y):
         raise NotImplementedError
@@ -69,6 +72,10 @@ class Potential:
                 f"state outside domain [{lo}, {hi}]: {float(arr[idx])}{where}"
             )
         return arr
+
+    def potential_unchecked(self, arr: np.ndarray) -> np.ndarray:
+        """Vectorized U without the domain check; `potential` checks."""
+        raise NotImplementedError
 
     def gradient_unchecked(self, arr: np.ndarray) -> np.ndarray:
         """Vectorized dU/dy without the domain check, for callers whose states
@@ -110,10 +117,9 @@ class DoubleWell(Potential):
     h: float
     domain: tuple[float, float] = (-2.0, 2.0)
 
-    def potential(self, y):
-        arr = self._check_domain(y)
+    def potential_unchecked(self, arr):
         a2 = arr * arr
-        return _maybe_scalar(a2 * (0.25 * a2 - 0.5) - self.h * arr, y)
+        return a2 * (0.25 * a2 - 0.5) - self.h * arr
 
     def gradient(self, y):
         return _maybe_scalar(self.gradient_unchecked(self._check_domain(y)), y)
@@ -166,11 +172,10 @@ class LdpcBec(Potential):
         if self.dv < 2 or self.dc < 2:
             raise ValueError(f"degrees must be >= 2, got dv={self.dv}, dc={self.dc}")
 
-    def potential(self, y):
-        arr = self._check_domain(y)
+    def potential_unchecked(self, arr):
         p, c = _ldpc_potential_terms(self.dv - 1, self.dc - 1)
         acc = ((1.0 - (1.0 - arr)[..., None] ** p) * c).sum(axis=-1)
-        return _maybe_scalar(arr**2 / 2.0 - self.epsilon * acc, y)
+        return arr**2 / 2.0 - self.epsilon * acc
 
     def gradient(self, y):
         return _maybe_scalar(self.gradient_unchecked(self._check_domain(y)), y)
@@ -239,8 +244,8 @@ class LdpcBec(Potential):
 @lru_cache(maxsize=128)
 def _ldpc_potential_terms(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Exponents p_k = mk + 1 and coefficients C(n,k) (-1)^k / p_k,
-    k = 0..n, of the binomial expansion in `LdpcBec.potential`; read-only,
-    as the cache shares them."""
+    k = 0..n, of the binomial expansion in `LdpcBec.potential_unchecked`;
+    read-only, as the cache shares them."""
     p = m * np.arange(n + 1.0) + 1.0
     c = np.array([math.comb(n, k) * (-1.0) ** k for k in range(n + 1)]) / p
     p.flags.writeable = False
@@ -277,9 +282,8 @@ class ReflectedPotential(Potential):
         lo, hi = self.base.domain
         object.__setattr__(self, "domain", (-hi, -lo))
 
-    def potential(self, y):
-        arr = self._check_domain(y)
-        return _maybe_scalar(np.asarray(self.base.potential(-arr), dtype=float), y)
+    def potential_unchecked(self, arr):
+        return self.base.potential_unchecked(-arr)
 
     def gradient(self, y):
         return _maybe_scalar(self.gradient_unchecked(self._check_domain(y)), y)
@@ -422,7 +426,8 @@ def equal_height_parameter(
     `brent_root` on the height difference U(y_minus) - U(y_plus), which is
     smooth in the parameter (Yedla, Jian, Nguyen & Pfister, 2012), to within
     tol.  Each probe reads the outer two of the stable roots in the domain
-    (`Potential.stable_roots`), so it solves for no unstable root.  The
+    (`Potential.stable_roots`), so it solves for no unstable root, and reads
+    U at those wells in the domain unchecked (`potential_unchecked`).  The
     bracket ends may come in either order.  Requires bistability at every
     probed parameter, a sign change across the bracket and tol > 0.
     """
@@ -437,7 +442,7 @@ def equal_height_parameter(
             raise TopologyChangeError(
                 f"potential is not bistable at parameter {p}", p
             )
-        u_minus, u_plus = spec.potential(np.array([wells[0], wells[-1]]))
+        u_minus, u_plus = spec.potential_unchecked(np.array([wells[0], wells[-1]]))
         return float(u_minus - u_plus)
 
     a, b = float(param_interval[0]), float(param_interval[1])

@@ -209,6 +209,10 @@ class TestEvalGradient:
         ys[1:-1] += np.random.default_rng(0).uniform(-0.4, 0.4, 999) * (ys[1] - ys[0])
         assert np.asarray(spec.gradient(ys)).tobytes() == spec.gradient_unchecked(ys).tobytes()
         assert spec.gradient(float(ys[17])) == float(spec.gradient_unchecked(ys[17:18])[0])
+        # U likewise: the checked potential is potential_unchecked behind the check
+        assert np.asarray(spec.potential(ys)).tobytes() == spec.potential_unchecked(ys).tobytes()
+        value = spec.potential(float(ys[17]))
+        assert type(value) is float and value == float(spec.potential_unchecked(ys)[17])
 
     def test_finite_difference(self):
         spec = DoubleWell(0.01)
@@ -689,6 +693,28 @@ class TestEqualHeightParameter:
         monkeypatch.setattr(LdpcBec, "gradient_unchecked", counted)
         equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6))
         assert len(calls) == 92
+
+    @pytest.mark.parametrize(
+        "make_spec, bracket",
+        [
+            (lambda e: LdpcBec(e, 3, 6), (0.43, 0.6)),
+            (DoubleWell, (-0.1, 0.1)),
+            (lambda e: ReflectedPotential(LdpcBec(e, 3, 6)), (0.43, 0.5)),
+        ],
+        ids=["ldpc", "double_well", "reflected_ldpc"],
+    )
+    def test_probes_make_no_domain_check(self, monkeypatch, make_spec, bracket):
+        # a probe's wells lie in the domain, so it reads U at them unchecked
+        calls = []
+        check = Potential._check_domain
+
+        def counted(spec, y):
+            calls.append(y)
+            return check(spec, y)
+
+        monkeypatch.setattr(Potential, "_check_domain", counted)
+        equal_height_parameter(make_spec, bracket)
+        assert calls == []
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
     def test_nonpositive_tol_rejected(self, tol):
