@@ -208,11 +208,12 @@ def integrate(
     Checks max|rhs| before every step and after the last: steady=True, and
     an early exit, once it is below DEFAULT_STEADY_TOL; DivergenceError once
     it is not finite.  The last step is clipped, so a run that is not steady
-    ends at t_end exactly.  t_end < 0, and a coupling that `stable_dt`
-    rejects, raise ValueError before any step; t_end = 0 takes no step.
+    ends at t_end exactly.  A t_end that is not finite and >= 0 (negative,
+    infinite or NaN), and a coupling that `stable_dt` rejects, raise
+    ValueError before any step; t_end = 0 takes no step.
     """
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    if not 0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     grid = profile0.grid
     dt = stable_dt(grid, spec, coupling)
     work = profile0.copy()
@@ -381,9 +382,9 @@ def _relax(
     potential's max|U''|, taken once per distinct object), tau, clock and
     Newton retries, runs its Newton tail on its own potential, and leaves
     the stack once steady, capped or Newton-finished, so its result is
-    bit-identical to relaxing it alone.  The smaller stack left behind keeps
-    its rows' r and U'' sliced from the larger one, evaluating neither
-    again.  Returns (final profile, max|r|, t) for each profile, in order.
+    bit-identical to relaxing it alone.  Each stack, the first and every
+    smaller one left behind, evaluates its rows' r and U'' when it is laid
+    out.  Returns (final profile, max|r|, t) for each profile, in order.
     """
     from . import _lapack
 
@@ -396,12 +397,10 @@ def _relax(
     steps = [t_end if last else tau0 for last, tau0 in zip(lasts, tau0s)]
     out: list = [None] * len(rows)
 
-    # one value per row at each of its interior nodes, 0 at the seams; a
-    # stack of one keeps the float, which numpy broadcasts faster
-    def spread(values):
-        return values[0] if len(values) == 1 else np.array(values + [0])[row_of]
+    def spread(values):  # one value per row at each of its interior nodes, 0 at the seams
+        return np.array(values + [0])[row_of]
 
-    stack, r = 0, None
+    stack = 0
     while True:
         if stack != len(rows):  # lay out a new stack
             stack = len(rows)
@@ -418,9 +417,8 @@ def _relax(
             starts = np.array([i * n + s for i in range(stack) for s in (0, n - 2)][:-1])
             trial = y.copy()
             inner, trial_inner = y[1:-1], trial[1:-1]
-            if r is None:  # the first stack is evaluated, later ones sliced from it
-                r = _interior_rhs(y, dx, gradient, d)
-                u2 = curvature(inner)
+            r = _interior_rhs(y, dx, gradient, d)
+            u2 = curvature(inner)
             diag = two_k + u2
         done = []
         for i, residual in enumerate(np.maximum.reduceat(np.abs(r), starts).tolist()[::2]):
@@ -448,10 +446,6 @@ def _relax(
             if not keep:
                 return out
             y = y.reshape(len(rows), n)[keep].ravel()
-            # the kept rows' r and U'' on the interior nodes of the new stack:
-            # node m of the old stack is entry m - 1 of its interior arrays
-            take = (np.array(keep)[:, None] * n + np.arange(n)).ravel()[1:-1] - 1
-            r, u2 = r[take], u2[take]
             rows, tau0s, ts, steps, lasts, newton_below, rejected = (
                 [v[i] for i in keep]
                 for v in (rows, tau0s, ts, steps, lasts, newton_below, rejected)

@@ -224,9 +224,6 @@ def _newton_polish(
             step = _lapack.solve_banded((1, 1), jac[:, rows].reshape(3, -1), -res[rows].ravel())
             step = step.reshape(len(rows), -1)
         except np.linalg.LinAlgError:  # solve each row alone; a singular one fails
-            if len(rows) == 1:
-                failed[rows] = True
-                continue
             step = np.empty_like(res[rows])
             for k, i in enumerate(rows):
                 try:
@@ -279,7 +276,8 @@ def solve_stationary(
     residual is below DEFAULT_STEADY_TOL (`_newton_polish`, a stack of
     one); a run that hits t_cap is never polished.  `residual` reports the
     Numerov residual of the returned profile, and `steady` is True only when
-    the polish converged; otherwise the classification is Other.
+    the polish converged; otherwise the classification is Other.  t_cap
+    must be finite and >= 0, else ValueError before any work.
     """
     return _solve_cells([(spec, d, y0)], grid, t_cap)[0]
 
@@ -290,12 +288,15 @@ def _solve_cells(
     t_cap: float,
 ) -> list[StationarySolution]:
     """`solve_stationary` for each (spec, d, y0) cell (y0 None: the smallest
-    stable point of spec), every d and y0 checked before any work.  The
-    cells relax in one stack, one potential per row (`pde._relax`), each
-    distinct potential object's stationary points found once; the rows that
-    end steady are polished in one stack (`_newton_polish`), and each cell
-    is reported under its own potential, in order, with the residual its
-    polish returned (measured anew only on a row never polished)."""
+    stable point of spec), every d and y0, and t_cap (finite and >= 0),
+    checked before any work.  The cells relax in one stack, one potential
+    per row (`pde._relax`), each distinct potential object's stationary
+    points found once; the rows that end steady are polished in one stack
+    (`_newton_polish`), and each cell is reported under its own potential,
+    in order, with the residual its polish returned (measured anew only on
+    a row never polished)."""
+    if not 0 <= t_cap < np.inf:
+        raise ValueError(f"t_cap must be finite and >= 0, got {t_cap}")
     for spec, d, y0 in cells:
         check_coupling(d)
         if y0 is not None:

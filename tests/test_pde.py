@@ -262,9 +262,11 @@ class TestIntegrate:
         assert len(calls) == 12
 
     def test_negative_t_end_rejected(self):
+        # and a t_end that is not finite: inf and NaN cannot count steps
         prof = Profile.uniform(Grid(1.0, 21), -1.0, boundary_value=1.0)
-        with pytest.raises(ValueError, match="t_end"):
-            integrate(prof, DoubleWell(0.01), ConstantCoupling(0.01), t_end=-5.0)
+        for t_end in (-5.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=rf"t_end must be finite and >= 0, got {t_end}"):
+                integrate(prof, DoubleWell(0.01), ConstantCoupling(0.01), t_end=t_end)
 
     def test_divergence_detected(self):
         spec = DoubleWell(0.0, domain=(-1e8, 1e8))

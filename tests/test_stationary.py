@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coupled_dynamics import _lapack, pde, stationary
 from coupled_dynamics.pde import DEFAULT_STEADY_TOL, Grid, Profile
@@ -62,9 +64,19 @@ class TestSolveStationary:
         y_plus = find_stationary_points(spec).y_plus
         assert sol.first_integral_constant >= -spec.potential(y_plus) - 1e-6
 
-    def test_rejects_bad_coupling(self):
+    def test_rejects_bad_coupling(self, monkeypatch):
         with pytest.raises(ValueError):
             solve_stationary(DoubleWell(0.01), -1.0)
+
+        def no_relax(*args):
+            raise AssertionError("relaxed under a bad t_cap")
+
+        # a t_cap that is not finite and >= 0 is a bad input too, rejected
+        # before any work: NaN would otherwise act as no cap at all
+        monkeypatch.setattr(stationary, "_relax", no_relax)
+        for t_cap in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match=rf"t_cap must be finite and >= 0, got {t_cap}"):
+                solve_stationary(DoubleWell(0.01), 0.01, grid=Grid(1.0, 51), t_cap=t_cap)
 
     @pytest.mark.parametrize("d", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_coupling(self, d):
@@ -253,6 +265,41 @@ class TestRelaxation:
             tail = pde._newton_tail(y, r, u2, dx, spec, d)
             assert (tail is not None) == accepted
 
+    def test_failed_tail_solve_steps_on(self, monkeypatch):
+        # the pot at h = -0.05, d = 0.05 is Newton-finished at its first try
+        # (max|r| about 9.2e-3); a stand-in dgtsv reports a zero pivot on
+        # that try's first solve: the row takes relaxation steps again, tries
+        # the tail once more only once max|r| has fallen tenfold, and ends
+        # steady with the label of the unstubbed run
+        spec, d, grid = DoubleWell(-0.05), 0.05, Grid(1.0, 51)
+        want = solve_stationary(spec, d, grid=grid)
+        k = d / grid.dx**2
+        dgtsv, newton_tail, events = _lapack.dgtsv, pde._newton_tail, []
+
+        def stand_in(*args):
+            if len(args) == 8:  # a relaxation step: max|r| from tau r and -tau k
+                events.append(("step", np.max(np.abs(args[3])) / (-args[0][0] / k)))
+            elif ("zero pivot", None) not in events:
+                events.append(("zero pivot", None))
+                return (*dgtsv(*args)[:4], 1)
+            return dgtsv(*args)
+
+        def recorded(y, r, *args):
+            events.append(("tail", np.max(np.abs(r))))
+            return newton_tail(y, r, *args)
+
+        monkeypatch.setattr(_lapack, "dgtsv", stand_in)
+        monkeypatch.setattr(pde, "_newton_tail", recorded)
+        sol = solve_stationary(spec, d, grid=grid)
+        tails = [i for i, (kind, _) in enumerate(events) if kind == "tail"]
+        assert len(tails) == 2 and events[tails[0] + 1] == ("zero pivot", None)
+        failed_at, retried_at = events[tails[0]][1], events[tails[1]][1]
+        between = [res for kind, res in events[tails[0] + 2 : tails[1]] if kind == "step"]
+        assert len(between) == tails[1] - tails[0] - 2 > 0
+        assert min(between) >= 0.1 * failed_at > retried_at
+        assert sol.steady and sol.classification == want.classification == POT_SHAPED
+        assert sol.t_exit != want.t_exit
+
     @pytest.mark.parametrize("d, h", [(0.001, -0.005), (0.0316, -0.01), (0.1, -0.1)])
     def test_monotone_in_time_from_lower_state(self, d, h):
         # y_minus is a subsolution, so the flow from it never decreases
@@ -266,7 +313,53 @@ class TestRelaxation:
             prev = final.values
 
 
+@st.composite
+def stacks(draw):
+    """A stack of 1-6 cells on one grid under one t_cap, so capped rows mix
+    with steady ones and rows leave at every stack size: DoubleWell tilts,
+    0.0 next to -0.0, each tilt as one object on several rows and as equal
+    distinct objects, or reflected LdpcBec(eps, 3, 6) rows on one base; d
+    log-uniform on [10^-3.5, 1], y0 the default or drawn from the domain."""
+    grid = Grid(draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.sampled_from([5, 7, 11, 21, 51])))
+    t_cap = draw(st.sampled_from([1.0, 30.0, 300.0, 3000.0]))
+    if draw(st.booleans()):
+        h = draw(st.floats(-0.1, 0.1))
+        pool = [DoubleWell(0.0), DoubleWell(-0.0), DoubleWell(h), DoubleWell(h)]
+    else:
+        base = LdpcBec(draw(st.floats(0.3, 0.55)), 3, 6)
+        pool = [ReflectedPotential(base), ReflectedPotential(base)]
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        spec = draw(st.sampled_from(pool))
+        y0 = draw(st.none() | st.floats(*spec.domain))
+        cells.append((spec, 10.0 ** draw(st.floats(-3.5, 0.0)), y0))
+    return cells, grid, t_cap
+
+
 class TestStackedRelaxation:
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    @given(stacks(), st.floats(-1e-3, 1e-3))
+    def test_every_stacked_row_equals_its_solo_run(self, stack, amplitude):
+        # each _solve_cells cell equals its solve_stationary, and the polish
+        # of the perturbed ends as a stack equals its stacks of one, by ==
+        cells, grid, t_cap = stack
+        solved = stationary._solve_cells(cells, grid, t_cap)
+        for (spec, d, y0), sol in zip(cells, solved):
+            want = solve_stationary(spec, d, grid=grid, y0=y0, t_cap=t_cap)
+            assert sol.profile.values.tobytes() == want.profile.values.tobytes()
+            assert (sol.residual, sol.t_exit, sol.classification, sol.first_integral_constant) == (
+                want.residual, want.t_exit, want.classification, want.first_integral_constant
+            )
+        bump = amplitude * np.cos(0.5 * np.pi * grid.x / grid.x_max)
+        starts = [Profile(grid, s.profile.values + bump, s.profile.boundary_value) for s in solved]
+        specs, ds = [spec for spec, _, _ in cells], [d for _, d, _ in cells]
+        polished = [p.copy() for p in starts]
+        residuals = stationary._newton_polish(polished, specs, ds, DEFAULT_STEADY_TOL)
+        for p, residual, start, spec, d in zip(polished, residuals, starts, specs, ds):
+            alone = start.copy()
+            assert [residual] == stationary._newton_polish([alone], [spec], [d], DEFAULT_STEADY_TOL)
+            assert p.values.tobytes() == alone.values.tobytes()
+
     def test_zero_pivot_rejects_only_its_row(self, monkeypatch):
         # a stand-in dgtsv reports a zero pivot in row 1 at the 30th
         # relaxation step, of 56 or more (the first steps are at most tau0,
@@ -367,10 +460,10 @@ class TestStackedRelaxation:
         with pytest.raises(ValueError, match="differ in dc"):
             pde._stack_potential([LdpcBec(0.5, 3, 6), LdpcBec(0.5, 3, 7)], np.array)
 
-    def test_rows_leaving_are_not_evaluated_again(self, monkeypatch):
+    def test_one_stencil_call_per_step_and_per_layout(self, monkeypatch):
         # rows leave at steps 0 (steady at the start), 22 and 24 (capped):
-        # the kept rows' r and U'' are sliced from the larger stack, so the
-        # stencil runs once for the first stack and once per step
+        # each of the three stacks (3, 2 and 1 rows) evaluates its r when it
+        # is laid out, and the stencil runs once more per step
         grid, t_end = Grid(1.0, 101), 5.0
         specs, ds = [DoubleWell(0.05), DoubleWell(-0.01), DoubleWell(-0.05)], [0.01, 0.1, 0.01]
         pts = [find_stationary_points(spec) for spec in specs]
@@ -392,7 +485,7 @@ class TestStackedRelaxation:
         monkeypatch.setattr(pde, "_interior_rhs", counted_rhs)
         monkeypatch.setattr(_lapack, "dgtsv", counted_dgtsv)
         stacked = pde._relax(starts, specs, ds, t_end)
-        assert calls["_interior_rhs"] == 1 + calls["steps"] == 25
+        assert calls["_interior_rhs"] == 3 + calls["steps"] == 27
         assert stacked[0][2] == 0.0 and stacked[1][2] == stacked[2][2] == t_end
         for (final, residual, t), (want, want_residual, want_t) in zip(stacked, alone):
             assert np.array_equal(final.values, want.values)
@@ -716,7 +809,8 @@ class TestNewtonPolish:
         assert [r < tol for r in residuals] == [True, True, True, False, False]
         # no solve on the Uniform row; a trial past lambda = 1 on the next
         # two (more trials than solves); the marked row fails at its solve
-        assert traces[0] == "N" and traces[4] == "NS"
+        # alone, after its stack of one failed as any stack does
+        assert traces[0] == "N" and traces[4] == "NSS"
         assert all(t.count("N") - 1 > t.count("S") > 0 for t in traces[1:3])
         assert traces[3].endswith("S" + "N" * 14)
         assert np.array_equal(stack[4].values, profiles[4].values)
