@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pde import Grid, check_coupling
+from .pde import Grid, check_coupling, check_time
 from .potentials import DoubleWell, brent_root, find_stationary_points
 from .stationary import OTHER, _solve_cells
 
@@ -69,8 +69,10 @@ def sweep(
     one stack (`stationary._newton_polish`), each cell bit-identical to
     solving it alone; with jobs > 1 they split into at most `jobs`
     contiguous stacks, one per worker of a process pool, output order
-    unchanged.
+    unchanged.  A t_cap that is not finite and >= 0 raises ValueError
+    before any work, whether or not a tilt is bistable.
     """
+    check_time("t_cap", t_cap)
     d_values = [float(d) for d in d_values]
     specs = [DoubleWell(float(h)) for h in h_values]
     bistable = [find_stationary_points(spec).is_bistable for spec in specs]

@@ -27,7 +27,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: str, rows) -> None:
+def _write_csv(p: dict, name: str, header: str, rows) -> None:
+    """Write the CSV `name` under the --out directory; without --out, return
+    at once, leaving `rows` unread."""
+    if not p.get("out"):
+        return
+    path = Path(p["out"]) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -112,14 +117,12 @@ def _resolve_y0(token, pts: potentials.StationaryPointSet) -> float:
     return float(token)
 
 
-def cmd_de(args: argparse.Namespace) -> int:
-    p = _merge(args, {})
+def cmd_de(p: dict) -> int:
     dv, dc = int(p["dv"]), int(p["dc"])
     if p.get("threshold"):
         value = de_mod.bp_threshold(dv, dc, **_given(p, tol=float))
         print(f"bp_threshold {_fmt(value)}")
-        if p.get("out"):
-            _write_csv(Path(p["out"]) / "threshold.csv", "dv,dc,threshold", [(dv, dc, value)])
+        _write_csv(p, "threshold.csv", "dv,dc,threshold", [(dv, dc, value)])
         return 0
     if "eps" not in p:
         raise ValueError("either --eps or --threshold is required")
@@ -128,28 +131,23 @@ def cmd_de(args: argparse.Namespace) -> int:
     traj = de_mod.run_de(spec, **_given(p, y0=float, max_iter=int, tol=float))
     print(f"fixed_point {_fmt(traj.fixed_point)} after {len(traj.iterates) - 1} iterations"
           f" converged={traj.converged}")
-    if p.get("out"):
-        rows = [(t, float(y)) for t, y in enumerate(traj.iterates)]
-        _write_csv(Path(p["out"]) / "de_trajectory.csv", "t,y", rows)
+    _write_csv(p, "de_trajectory.csv", "t,y", ((t, float(y)) for t, y in enumerate(traj.iterates)))
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    p = _merge(args, {**_SPEC_DEFAULTS, "y0": "minus", "t_end": 2e4,
-                      "snapshots": pde.DEFAULT_SNAPSHOT_EVERY})
+def cmd_simulate(p: dict) -> int:
     spec = _make_spec(p)
     grid = _grid(p)
     pts = potentials.find_stationary_points(spec)
     y0 = _resolve_y0(p["y0"], pts)
     profile0 = pde.Profile.uniform(grid, y0, boundary_value=pts.y_plus)
-    out = p.get("out")
     record = pde.integrate(
         profile0,
         spec,
         pde.ConstantCoupling(float(p["d"])),
         t_end=float(p["t_end"]),
         snapshot_every=int(p["snapshots"]),
-        keep_snapshots=bool(out),
+        keep_snapshots=bool(p.get("out")),  # kept only to be written
     )
     # an unsteady end is Other whatever its shape, as in `solve_stationary`
     classification = (
@@ -157,17 +155,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     print(f"classification {classification} residual {_fmt(record.residual)}"
           f" steady={record.steady} t={_fmt(record.t_final)}")
-    if out:
-        out_dir = Path(out)
-        for t, prof in record.snapshots:
-            rows = list(zip(prof.grid.x, prof.values))
-            _write_csv(out_dir / f"profile_t{t:.6f}.csv", "x,y", rows)
-        _write_csv(out_dir / "energy.csv", "t,H", record.energies)
+    for t, prof in record.snapshots:
+        _write_csv(p, f"profile_t{t:.6f}.csv", "x,y", zip(prof.grid.x, prof.values))
+    _write_csv(p, "energy.csv", "t,H", record.energies)
     return 0
 
 
-def cmd_stationary(args: argparse.Namespace) -> int:
-    p = _merge(args, _SPEC_DEFAULTS)
+def cmd_stationary(p: dict) -> int:
     spec = _make_spec(p)
     grid = _grid(p)
     given = _given(p, t_cap=float)
@@ -178,14 +172,11 @@ def cmd_stationary(args: argparse.Namespace) -> int:
         f"classification {sol.classification} residual {_fmt(sol.residual)}"
         f" C {_fmt(sol.first_integral_constant)} steady={sol.steady}"
     )
-    if p.get("out"):
-        rows = list(zip(sol.profile.grid.x, sol.profile.values))
-        _write_csv(Path(p["out"]) / "stationary_profile.csv", "x,y", rows)
+    _write_csv(p, "stationary_profile.csv", "x,y", zip(sol.profile.grid.x, sol.profile.values))
     return 0
 
 
-def cmd_theorem1(args: argparse.Namespace) -> int:
-    p = _merge(args, {**_SPEC_DEFAULTS, "d": "0.001,0.01,0.1"})
+def cmd_theorem1(p: dict) -> int:
     spec = _make_spec(p)
     grid = _grid(p)
     d_list = _floats(p["d"])
@@ -199,21 +190,16 @@ def cmd_theorem1(args: argparse.Namespace) -> int:
             f" residual={_fmt(cell.residual)}"
         )
     print(f"orientation {report.orientation} passed={report.passed}")
-    if p.get("out"):
-        rows = [
-            (c.d, c.y0, c.classification, c.residual, c.first_integral_constant)
-            for c in report.cells
-        ]
-        _write_csv(Path(p["out"]) / "theorem1_report.csv", "d,y0,classification,residual,C", rows)
+    rows = ((c.d, c.y0, c.classification, c.residual, c.first_integral_constant)
+            for c in report.cells)
+    _write_csv(p, "theorem1_report.csv", "d,y0,classification,residual,C", rows)
     return 0 if report.passed else 1
 
 
-def cmd_bifurcation(args: argparse.Namespace) -> int:
-    p = _merge(args, {})
+def cmd_bifurcation(p: dict) -> int:
     grid = _grid(p)
     d_default, h_default = bif.default_sweep_box()
     d_values = _floats(p["d"]) if "d" in p else list(d_default)
-    out = p.get("out")
     curve = None
     if p.get("curve"):  # first: a bad tol or d fails before the sweep's work
         curve = bif.critical_curve(
@@ -222,33 +208,26 @@ def cmd_bifurcation(args: argparse.Namespace) -> int:
     if curve is None or "h" in p:  # with --curve, sweep only the tilts given
         h_values = _floats(p["h"]) if "h" in p else list(h_default)
         cells = bif.sweep(d_values, h_values, grid=grid, **_given(p, t_cap=float, jobs=int))
-        if out:
-            rows = [(c.d, c.h, c.classification or c.error, c.t_exit) for c in cells]
-            _write_csv(Path(out) / "bifurcation_sweep.csv", "d,h,classification,t_exit", rows)
+        rows = ((c.d, c.h, c.classification or c.error, c.t_exit) for c in cells)
+        _write_csv(p, "bifurcation_sweep.csv", "d,h,classification,t_exit", rows)
         n_pot = sum(1 for c in cells if c.classification == stationary.POT_SHAPED)
         print(f"{len(cells)} cells, {n_pot} pot-shaped")
     if curve is not None:
         for pt in curve:
             print(f"d={_fmt(pt.d)} h_crit={_fmt(pt.h_crit)}"
                   + (f" error={pt.error}" if pt.error else ""))
-        if out:
-            _write_csv(
-                Path(out) / "critical_curve.csv",
-                "d,h_crit",
-                [(pt.d, pt.h_crit) for pt in curve if pt.error is None],
-            )
+        rows = ((pt.d, pt.h_crit) for pt in curve if pt.error is None)
+        _write_csv(p, "critical_curve.csv", "d,h_crit", rows)
     return 0
 
 
-def cmd_threshold_sc(args: argparse.Namespace) -> int:
-    p = _merge(args, {"family": "dw"})
+def cmd_threshold_sc(p: dict) -> int:
     make, _ = _family(p)
     value = potentials.equal_height_parameter(
         make, _floats(p["bracket"]), **_given(p, tol=float)
     )
     print(f"threshold_sc {_fmt(value)}")
-    if p.get("out"):
-        _write_csv(Path(p["out"]) / "threshold_sc.csv", "family,value", [(p["family"], value)])
+    _write_csv(p, "threshold_sc.csv", "family,value", [(p["family"], value)])
     return 0
 
 
@@ -281,23 +260,27 @@ _FLAGS = {
 _COMMA_LIST = {"type": None, "help": "comma list", "takes_list": True}
 _SPEC_FLAGS = "family h eps dv dc"
 
-# Subcommand: handler, help, its flags in help order, per-subcommand overrides.
+# Subcommand: handler, help, its flags in help order, per-subcommand
+# overrides, and the values of the keys that neither a flag nor the config gives.
 _COMMANDS = {
     "de": (cmd_de, "density-evolution recursion / BP threshold",
            "dv dc eps threshold tol y0 max_iter",
            {"dv": {"required": True}, "dc": {"required": True},
-            "y0": {"type": float, "help": None}}),
+            "y0": {"type": float, "help": None}}, {}),
     "simulate": (cmd_simulate, "time integration of the coupled system",
-                 f"{_SPEC_FLAGS} d xmax n y0 t_end snapshots", {}),
+                 f"{_SPEC_FLAGS} d xmax n y0 t_end snapshots", {},
+                 {**_SPEC_DEFAULTS, "y0": "minus", "t_end": 2e4,
+                  "snapshots": pde.DEFAULT_SNAPSHOT_EVERY}),
     "stationary": (cmd_stationary, "relax to a stationary solution and classify",
-                   f"{_SPEC_FLAGS} d xmax n y0 t_cap", {}),
+                   f"{_SPEC_FLAGS} d xmax n y0 t_cap", {}, _SPEC_DEFAULTS),
     "theorem1": (cmd_theorem1, "no-pot-shape verification sweep",
-                 f"{_SPEC_FLAGS} d y0 xmax n t_cap", {"d": _COMMA_LIST, "y0": _COMMA_LIST}),
+                 f"{_SPEC_FLAGS} d y0 xmax n t_cap", {"d": _COMMA_LIST, "y0": _COMMA_LIST},
+                 {**_SPEC_DEFAULTS, "d": "0.001,0.01,0.1"}),
     "bifurcation": (cmd_bifurcation, "(d, h) sweep and critical curve",
                     "d h curve h_bracket tol xmax n t_cap jobs",
-                    {"d": _COMMA_LIST, "h": _COMMA_LIST}),
+                    {"d": _COMMA_LIST, "h": _COMMA_LIST}, {}),
     "threshold-sc": (cmd_threshold_sc, "equal-height (Maxwell) threshold",
-                     "family dv dc bracket tol", {}),
+                     "family dv dc bracket tol", {}, {"family": "dw"}),
 }
 
 
@@ -307,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spatially-coupled gradient-flow simulator and threshold analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, flags, overrides) in _COMMANDS.items():
+    for name, (_, help_text, flags, overrides, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", default=None, help="flat JSON config file")
         sp.add_argument("--out", default=_S, help="output directory for CSV files")
@@ -318,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
                 list_keys.add(flag)
             sp.add_argument("--" + flag.replace("_", "-"), **kwargs)
         # Config keys that may hold a JSON list; `_merge` rejects one elsewhere.
-        sp.set_defaults(func=func, list_keys=frozenset(list_keys))
+        sp.set_defaults(list_keys=frozenset(list_keys))
     return parser
 
 
@@ -328,11 +311,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    func = args.func
-    del args.command, args.func
+    func, *_, defaults = _COMMANDS[args.command]
+    del args.command
     # package failures subclass ValueError (input or domain) or RuntimeError (numeric run)
     try:
-        return func(args)
+        return func(_merge(args, defaults))
     except (ValueError, RuntimeError, KeyError, FileNotFoundError) as exc:
         msg = f"missing required parameter {exc}" if isinstance(exc, KeyError) else str(exc)
         print(f"error: {msg}", file=sys.stderr)

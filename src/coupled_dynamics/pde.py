@@ -110,6 +110,12 @@ def check_coupling(d: float) -> None:
         raise ValueError(f"coupling constant must be positive and finite, got {d}")
 
 
+def check_time(name: str, t: float) -> None:
+    """Raise ValueError unless the model time t, called `name`, is finite and >= 0."""
+    if not 0 <= t < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {t}")
+
+
 @dataclass(frozen=True)
 class ConstantCoupling(Coupling):
     d: float
@@ -212,8 +218,7 @@ def integrate(
     infinite or NaN), and a coupling that `stable_dt` rejects, raise
     ValueError before any step; t_end = 0 takes no step.
     """
-    if not 0 <= t_end < math.inf:
-        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
+    check_time("t_end", t_end)
     grid = profile0.grid
     dt = stable_dt(grid, spec, coupling)
     work = profile0.copy()
@@ -511,11 +516,14 @@ def simulate_discrete_chain(
     dy_i/dt = -U'(y_i) + (d/Delta^2)(y_{i+1} - 2 y_i + y_{i-1}) with
     Delta = 1/N (the chain spans [-1, 1]); endpoints held at the largest
     stable point of U.  dt = min(0.5/max|U''|, CFL_SAFETY Delta^2/d); stops
-    once max|dy/dt| < DEFAULT_STEADY_TOL.  Kept as an independent code path
-    to cross-validate the continuum solver.
+    once max|dy/dt| < DEFAULT_STEADY_TOL, else after ceil(t_end / dt) steps,
+    at least one.  A t_end that is not finite and >= 0 raises ValueError
+    before any step.  Kept as an independent code path to cross-validate
+    the continuum solver.
     """
     if n_copies < 3 or n_copies % 2 == 0:
         raise ValueError("n_copies must be an odd integer >= 3")
+    check_time("t_end", t_end)
     if not 0.0 <= coupling_strength < math.inf:
         raise ValueError(
             f"coupling constant must be non-negative and finite, got {coupling_strength}"

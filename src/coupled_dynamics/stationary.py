@@ -31,6 +31,7 @@ from .pde import (
     _relax,
     _stack_potential,
     check_coupling,
+    check_time,
 )
 from .potentials import LdpcBec, Potential, ReflectedPotential, find_stationary_points
 
@@ -214,10 +215,10 @@ def _newton_polish(
     y[:, 1:-1] = np.clip(y[:, 1:-1], lo, hi)
     res, jac = system(y, range(len(profiles)))
     norm = np.max(np.abs(res), axis=1)
-    iters = np.zeros(len(profiles), dtype=int)
     failed = np.zeros(len(profiles), dtype=bool)
-    while True:
-        rows = np.flatnonzero(~failed & ~(norm < tol) & (iters < 30))
+    # each pass, every row still polishing takes one accepted step or fails
+    for _ in range(30):
+        rows = np.flatnonzero(~failed & ~(norm < tol))
         if not len(rows):
             break
         try:
@@ -242,7 +243,6 @@ def _newton_polish(
             y[won], res[won], jac[:, won], norm[won] = (
                 trial[better], res_t[better], jac_t[:, better], norm_t[better]
             )
-            iters[won] += 1
             rows, step, lam = rows[~better], step[~better], 0.5 * lam[~better]
             spent = ~(lam > 1e-4)
             failed[rows[spent]] = True
@@ -295,8 +295,7 @@ def _solve_cells(
     (`_newton_polish`), and each cell is reported under its own potential,
     in order, with the residual its polish returned (measured anew only on
     a row never polished)."""
-    if not 0 <= t_cap < np.inf:
-        raise ValueError(f"t_cap must be finite and >= 0, got {t_cap}")
+    check_time("t_cap", t_cap)
     for spec, d, y0 in cells:
         check_coupling(d)
         if y0 is not None:

@@ -54,6 +54,11 @@ class TestSweep:
         assert cells[0].classification is None
         assert cells[1].classification == UNIFORM
 
+    def test_t_cap_checked_without_a_bistable_tilt(self):
+        # h = 0.5 is not bistable, so no cell relaxes; t_cap is checked anyway
+        with pytest.raises(ValueError, match="t_cap must be finite and >= 0, got nan"):
+            sweep([0.01], [0.5], grid=GRID, t_cap=np.nan)
+
     def test_capped_cell_is_unresolved(self):
         # h = 0, d = 0.001: the symmetric kink pair drifts far slower than t_cap
         (cell,) = sweep([0.001], [0.0], grid=GRID, t_cap=50.0)

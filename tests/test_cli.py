@@ -409,6 +409,31 @@ class TestBifurcation:
         assert h_crit == pytest.approx(-0.024, abs=1e-2)
 
 
+# Cheap arguments for every subcommand and the files each writes under --out;
+# together they reach every CSV the handlers write.
+OUTPUTS = [
+    (("de", "--dv", "3", "--dc", "6", "--threshold"), {"threshold.csv"}),
+    (("de", "--dv", "3", "--dc", "6", "--eps", "0.45"), {"de_trajectory.csv"}),
+    (("simulate", "--h=-0.01", "--n", "11", "--t-end", "1"),
+     {"profile_t0.000000.csv", "profile_t1.000000.csv", "energy.csv"}),
+    (("stationary", "--h", "0.05", "--n", "11"), {"stationary_profile.csv"}),
+    (("theorem1", "--h", "0.05", "--d", "0.1", "--n", "11"), {"theorem1_report.csv"}),
+    (("bifurcation", "--curve", "--d", "0.1", "--h", "0.05", "--n", "11"),
+     {"bifurcation_sweep.csv", "critical_curve.csv"}),
+    (("threshold-sc", "--family", "dw", "--bracket", "-0.1", "0.1"), {"threshold_sc.csv"}),
+]
+
+
+@pytest.mark.parametrize("argv, files", OUTPUTS, ids=[
+    "de-threshold", "de", "simulate", "stationary", "theorem1", "bifurcation", "threshold-sc"])
+def test_csv_files_only_under_out(capsys, monkeypatch, tmp_path, argv, files):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv)[0] == 0
+    assert list(tmp_path.iterdir()) == []
+    assert run(capsys, *argv, "--out", "out")[0] == 0
+    assert {f.name for f in (tmp_path / "out").iterdir()} == files
+
+
 # Flag surface of every subcommand: option strings -> (type, nargs, required).
 STR, FLOAT, INT = (None, None, False), (float, None, False), (int, None, False)
 SWITCH = (None, 0, False)

@@ -397,6 +397,11 @@ class TestDiscreteChain:
         with pytest.raises(ValueError, match="coupling constant must be non-negative"):
             simulate_discrete_chain(11, DoubleWell(0.01), d, -1.0, t_end=10.0)
 
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan, -1.0])
+    def test_rejects_bad_t_end(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be finite and >= 0"):
+            simulate_discrete_chain(11, DoubleWell(0.01), 0.01, -1.0, t_end=t_end)
+
     def test_divergence_names_first_interior_node(self):
         with pytest.raises(DivergenceError) as err:
             simulate_discrete_chain(5, DoubleWell(0.0), 0.01, float("nan"), 1.0)

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coupled_dynamics import _lapack, pde, stationary
@@ -339,6 +339,10 @@ def stacks(draw):
 class TestStackedRelaxation:
     @settings(derandomize=True, deadline=None, max_examples=80)
     @given(stacks(), st.floats(-1e-3, 1e-3))
+    # rows leave while those that stay differ in their `rejected` flag, which
+    # a re-layout must carry with each row
+    @example(([(spec, d, None) for spec in (DoubleWell(0.05), DoubleWell(-0.02))
+               for d in (0.01, 0.01, 0.002)], Grid(1.0, 51), 1e4), 0.0)
     def test_every_stacked_row_equals_its_solo_run(self, stack, amplitude):
         # each _solve_cells cell equals its solve_stationary, and the polish
         # of the perturbed ends as a stack equals its stacks of one, by ==
@@ -754,6 +758,31 @@ class TestNewtonPolish:
         assert "".join(events).endswith("S" + "N" * 14)
         sol = solve_stationary(spec, 0.1, grid=Grid(1.0, 101), t_cap=3e3)
         assert sol.classification == OTHER and not sol.steady
+
+    def test_iterations_capped_at_30(self, monkeypatch):
+        # a stand-in _numerov_system returns the real Jacobian and halves the
+        # residual on every call, so every trial wins at lambda = 1 and, at
+        # tol = 0, the row polishes until the cap
+        grid, spec = Grid(1.0, 51), DoubleWell(-0.01)
+        pts = find_stationary_points(spec)
+        profile = Profile.uniform(grid, pts.y_minus, boundary_value=pts.y_plus)
+        numerov_system, solve_banded = stationary._numerov_system, _lapack.solve_banded
+        residuals, solves = [], []
+
+        def halving(*args):
+            res, jac = numerov_system(*args)
+            residuals.append(res)
+            return residuals[0] * 0.5 ** len(residuals), jac
+
+        def counted(*args):
+            solves.append(None)
+            return solve_banded(*args)
+
+        monkeypatch.setattr(stationary, "_numerov_system", halving)
+        monkeypatch.setattr(_lapack, "solve_banded", counted)
+        (residual,) = stationary._newton_polish([profile], [spec], [0.01], 0.0)
+        assert len(solves) == 30
+        assert residual > 0.0
 
     def test_stack_equals_stacks_of_one(self, monkeypatch):
         # rows: Uniform (no iteration), the two polishes that backtrack to
