@@ -3,8 +3,10 @@
 The recursion y_{t+1} = eps * (1 - (1 - y_t)^(dc-1))^(dv-1) is a descent step
 of the LdpcBec potential: y_{t+1} - y_t = -dU/dy(y_t).  From y_0 = 1 it decays
 to zero exactly when eps is below the BP threshold, which `bp_threshold`
-takes, without running the recursion, at the minimizer x_BP that
-`LdpcBec.stationary_roots` also brackets at (closed forms for dv = 2, dc = 2).
+takes, without running the recursion, at the minimizer x_BP (closed forms for
+dv = 2, dc = 2).  `LdpcBec.stable_roots` reads dU/dy at the same x_BP to
+decide bistability, and its Newton solve for the stable root x+ never steps
+below it.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import LdpcBec, _ldpc_x_bp
+from .potentials import LdpcBec, _check_degrees, _ldpc_x_bp
 
 DEFAULT_MAX_ITER = 100_000
 
@@ -66,8 +68,7 @@ def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
     tol: a positive tolerance in x, which the result always meets, since x_BP
     is solved to within 1e-14.
     """
-    if dv < 2 or dc < 2:
-        raise ValueError(f"degrees must be >= 2, got dv={dv}, dc={dc}")
+    _check_degrees(dv, dc)
     if not tol > 0:
         raise ValueError("tol must be positive")
     if dv == 2:

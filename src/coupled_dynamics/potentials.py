@@ -14,6 +14,7 @@ probes solve only for the stable roots (`Potential.stable_roots`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -169,8 +170,7 @@ class LdpcBec(Potential):
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
-        if self.dv < 2 or self.dc < 2:
-            raise ValueError(f"degrees must be >= 2, got dv={self.dv}, dc={self.dc}")
+        _check_degrees(self.dv, self.dc)
 
     def potential_unchecked(self, arr):
         p, c = _ldpc_potential_terms(self.dv - 1, self.dc - 1)
@@ -205,6 +205,21 @@ class LdpcBec(Potential):
         zero only at epsilon = 1, so epsilon closes the bracket.  For m = 1
         dU/dy = x - epsilon x^n, whose only root but 0 is 1 at epsilon = 1;
         n = m = 1 with epsilon = 1 (dU/dy = 0 everywhere) is a ValueError.
+
+        For n, m >= 2, x+ is found by Newton from epsilon with the exact U''
+        (`curvature_unchecked`).  (g^n)'' <= 0 wherever (1-x)^m <=
+        (m - 1)/(nm - 1), that is from an inflection x_c on; Bernoulli's
+        inequality gives s(x_c) <= 0 for the slope function s of
+        `_ldpc_x_bp`, so x_BP >= x_c and dU/dy is convex on [x_BP, 1], and
+        increasing on [x+, 1] as it is negative at x_BP.  Each Newton step
+        from above x+ therefore lands in [x+, x): the iterates fall
+        monotonically to x+, and the loop stops at the first step that would
+        not fall or would leave (x_BP, x), the rounding floor.  No iterate
+        leaves [x_BP, epsilon], so none reaches the unstable root.  For
+        n = 1, x+ stays a `brent_root`: just above epsilon m = 1 it lies near
+        0, where dU/dy is the difference of two nearly equal terms, and a
+        Newton stop there can miss x+ by more than 1e-8 relative, so dU/dy
+        does not change sign across x+ (1 -+ 1e-8).
         """
         n, m, eps = self.dv - 1, self.dc - 1, self.epsilon
         grad = self.gradient_unchecked  # on floats here
@@ -221,7 +236,10 @@ class LdpcBec(Potential):
         g_bp = grad(x_bp)
         if not g_bp < 0.0:
             return [0.0]
-        return [0.0, brent_root(grad, x_bp, eps, _ROOT_XTOL, fa=g_bp)]
+        x, curv = eps, self.curvature_unchecked
+        while x_bp < (nxt := x - grad(x) / curv(x)) < x:
+            x = nxt
+        return [0.0, x]
 
     def stationary_roots(self):
         """`stable_roots`, and the unstable roots beside and between them.
@@ -239,6 +257,13 @@ class LdpcBec(Potential):
             a = min(0.5 * (self.epsilon * m**n) ** (-1.0 / (n - 1)), 0.5 * x_bp)
             roots.append((brent_root(self.gradient_unchecked, a, x_bp, _ROOT_XTOL), False))
         return sorted(roots)
+
+
+def _check_degrees(dv, dc) -> None:
+    """ValueError unless dv and dc are integers >= 2, the degrees of a
+    regular LDPC ensemble."""
+    if not all(isinstance(d, numbers.Integral) and d >= 2 for d in (dv, dc)):
+        raise ValueError(f"degrees must be integers >= 2, got dv={dv!r}, dc={dc!r}")
 
 
 @lru_cache(maxsize=128)
@@ -429,10 +454,10 @@ def equal_height_parameter(
     (`Potential.stable_roots`), so it solves for no unstable root, and reads
     U at those wells in the domain unchecked (`potential_unchecked`).  The
     bracket ends may come in either order.  Requires bistability at every
-    probed parameter, a sign change across the bracket and tol > 0.
+    probed parameter, a sign change across the bracket and 0 < tol < inf.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def height_diff(p: float) -> float:
         spec = make_spec(p)

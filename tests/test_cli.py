@@ -145,6 +145,15 @@ class TestThresholdSc:
         assert code == 1
         assert "tol must be positive" in err
 
+    def test_infinite_tol_exits_1(self, capsys):
+        code, out, err = run(
+            capsys, "threshold-sc", "--family", "ldpc", "--dv", "3", "--dc", "6",
+            "--bracket", "0.43", "0.6", "--tol", "inf",
+        )
+        assert code == 1
+        assert out == ""
+        assert "tol must be positive and finite" in err
+
 
 class TestStationary:
     ARGS = ("stationary", "--h", "-0.01", "--d", "0.01", "--n", "101",

@@ -155,3 +155,9 @@ class TestBpThreshold:
     def test_degree_validation(self):
         with pytest.raises(ValueError):
             bp_threshold(1, 6)
+
+    @pytest.mark.parametrize("dv, dc", [(3.5, 6), (3, 6.5), (3.0, 6)])
+    def test_degrees_must_be_integers(self, dv, dc):
+        # no regular ensemble has these degrees, so there is no threshold
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            bp_threshold(dv, dc)

@@ -603,6 +603,29 @@ class TestStableRoots:
             assert spec.stable_roots() == [0.0]
         assert LdpcBec(1.0, dv, 2).stationary_roots() == [(0.0, True), (1.0, False)]
 
+    @pytest.mark.parametrize("dv", [3, 4, 5, 6, 7, 8])
+    def test_ldpc_newton_x_plus_against_brent(self, dv):
+        # x+ of n, m >= 2 comes from Newton from epsilon; brent_root on
+        # [x_BP, epsilon] is the oracle, from just above epsilon_BP to 1.
+        # Newton's premise, dU/dy convex on [x_BP, 1], is checked as U''
+        # not decreasing there.
+        rs = (1e-9, 1e-6, 1e-3, 1e-2, 0.1)
+        for dc in range(dv + 1, 22):
+            bp = bp_threshold(dv, dc)
+            x_bp = potentials._ldpc_x_bp(dv - 1, dc - 1)
+            epsilons = {bp * (1.0 + r) for r in rs} | {bp + (1.0 - bp) * r for r in rs} | {1.0}
+            for eps in sorted(e for e in epsilons if e <= 1.0):
+                spec = LdpcBec(eps, dv, dc)
+                x = spec.stable_roots()[-1]
+                oracle = brent_root(spec.gradient_unchecked, x_bp, eps, 1e-14)
+                near_bp = eps < bp * (1.0 + 1e-6)
+                assert abs(x - oracle) <= (5e-12 if near_bp else 1e-13), (dv, dc, eps)
+                if x < 1.0:
+                    below, above = spec.gradient_unchecked(np.array([1.0 - 1e-8, 1.0 + 1e-8]) * x)
+                    assert below < 0.0 < above, (dv, dc, eps)
+                curv = spec.curvature_unchecked(np.linspace(x_bp, 1.0, 2001))
+                assert (np.diff(curv) >= 0.0).all(), (dv, dc, eps)
+
     def test_ldpc_2_2_at_full_erasure_rejected(self):
         for spec in (LdpcBec(1.0, 2, 2), ReflectedPotential(LdpcBec(1.0, 2, 2))):
             for roots in (spec.stable_roots, spec.stationary_roots):
@@ -681,18 +704,24 @@ class TestEqualHeightParameter:
         assert len(calls) == 9
 
     def test_gradient_evaluations_counted(self, monkeypatch):
-        # every dU/dy evaluation of the stable-root solves at all 9 probes;
+        # every dU/dy and U'' evaluation of the stable-root solves at all 9
+        # probes: x_BP's sign check, then Newton from epsilon down to x+;
         # no probe solves for the unstable root
-        calls = []
-        unchecked = LdpcBec.gradient_unchecked
+        calls = {"gradient_unchecked": 0, "curvature_unchecked": 0}
 
-        def counted(self, arr):
-            calls.append(arr)
-            return unchecked(self, arr)
+        def counting(name):
+            method = getattr(LdpcBec, name)
 
-        monkeypatch.setattr(LdpcBec, "gradient_unchecked", counted)
+            def counted(self, arr):
+                calls[name] += 1
+                return method(self, arr)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(LdpcBec, name, counting(name))
         equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6))
-        assert len(calls) == 92
+        assert calls == {"gradient_unchecked": 71, "curvature_unchecked": 62}
 
     @pytest.mark.parametrize(
         "make_spec, bracket",
@@ -721,6 +750,11 @@ class TestEqualHeightParameter:
         with pytest.raises(ValueError, match="tol must be positive"):
             equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.44, 0.5), tol=tol)
 
+    def test_infinite_tol_rejected(self):
+        # a tol of inf would accept the first bracket end as the threshold
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6), tol=float("inf"))
+
 
 class TestValidation:
     def test_ldpc_epsilon_range(self):
@@ -730,3 +764,13 @@ class TestValidation:
     def test_ldpc_degree_range(self):
         with pytest.raises(ValueError):
             LdpcBec(0.4, 1, 6)
+
+    @pytest.mark.parametrize("dv, dc", [(3.5, 6), (3, 6.0), (3.0, 6)])
+    def test_ldpc_degrees_must_be_integers(self, dv, dc):
+        # math.comb in U would raise TypeError later; construction refuses
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            LdpcBec(0.45, dv, dc)
+
+    def test_ldpc_numpy_integer_degrees_accepted(self):
+        spec = LdpcBec(0.45, np.int64(3), np.int32(6))
+        assert spec.potential(0.3) == LdpcBec(0.45, 3, 6).potential(0.3)
