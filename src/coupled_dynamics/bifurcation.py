@@ -210,12 +210,12 @@ def critical_curve(
     A coupling whose bracket ends lie outside it, or hold pots at both or at
     neither, gets a CurvePoint with an error and h_crit NaN; the remaining
     couplings continue.
-    tol: absolute tolerance on h_crit, positive.  The root in log(-h) is
-    found to tol / max|h_bracket|, so a fold much smaller than the bracket
-    is also found to a relative accuracy of about that.
+    tol: absolute tolerance on h_crit, positive and finite.  The root in
+    log(-h) is found to tol / max|h_bracket|, so a fold much smaller than
+    the bracket is also found to a relative accuracy of about that.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     d_values = [float(d) for d in d_values]
     for d in d_values:
         check_coupling(d)

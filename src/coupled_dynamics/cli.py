@@ -99,7 +99,7 @@ def _family(p: dict):
         return potentials.DoubleWell, "h"
     if family == "ldpc":
         def make(eps):
-            return potentials.LdpcBec(epsilon=eps, dv=int(p["dv"]), dc=int(p["dc"]))
+            return potentials.LdpcBec(epsilon=eps, dv=p["dv"], dc=p["dc"])
         return make, "eps"
     raise ValueError(f"unknown family {family!r} (expected 'dw' or 'ldpc')")
 
@@ -118,7 +118,7 @@ def _resolve_y0(token, pts: potentials.StationaryPointSet) -> float:
 
 
 def cmd_de(p: dict) -> int:
-    dv, dc = int(p["dv"]), int(p["dc"])
+    dv, dc = p["dv"], p["dc"]
     if p.get("threshold"):
         value = de_mod.bp_threshold(dv, dc, **_given(p, tol=float))
         print(f"bp_threshold {_fmt(value)}")

@@ -10,6 +10,7 @@ below it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,12 +66,12 @@ def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
     x = 1, so eps_BP = 1; for dv = 2 it increases in x, so the infimum is its
     x -> 0 limit 1/(dc - 1).
 
-    tol: a positive tolerance in x, which the result always meets, since x_BP
-    is solved to within 1e-14.
+    tol: a positive, finite tolerance in x, which the result always meets,
+    since x_BP is solved to within 1e-14.
     """
     _check_degrees(dv, dc)
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if dv == 2:
         return 1.0 / (dc - 1)
     if dc == 2:

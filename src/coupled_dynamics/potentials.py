@@ -174,7 +174,7 @@ class LdpcBec(Potential):
 
     def potential_unchecked(self, arr):
         p, c = _ldpc_potential_terms(self.dv - 1, self.dc - 1)
-        acc = ((1.0 - (1.0 - arr)[..., None] ** p) * c).sum(axis=-1)
+        acc = np.add.reduce((1.0 - (1.0 - arr)[..., None] ** p) * c, axis=-1)
         return arr**2 / 2.0 - self.epsilon * acc
 
     def gradient(self, y):
@@ -206,8 +206,11 @@ class LdpcBec(Potential):
         dU/dy = x - epsilon x^n, whose only root but 0 is 1 at epsilon = 1;
         n = m = 1 with epsilon = 1 (dU/dy = 0 everywhere) is a ValueError.
 
-        For n, m >= 2, x+ is found by Newton from epsilon with the exact U''
-        (`curvature_unchecked`).  (g^n)'' <= 0 wherever (1-x)^m <=
+        For n, m >= 2, x+ is found by Newton from epsilon with the exact U''.
+        Each step x - dU/dy / U'' is computed inline from one t = 1 - x and
+        g = 1 - t^m, with the operations of `gradient_unchecked` and
+        `curvature_unchecked` in their order, so it has their bits without
+        their two calls.  (g^n)'' <= 0 wherever (1-x)^m <=
         (m - 1)/(nm - 1), that is from an inflection x_c on; Bernoulli's
         inequality gives s(x_c) <= 0 for the slope function s of
         `_ldpc_x_bp`, so x_BP >= x_c and dU/dy is convex on [x_BP, 1], and
@@ -236,10 +239,14 @@ class LdpcBec(Potential):
         g_bp = grad(x_bp)
         if not g_bp < 0.0:
             return [0.0]
-        x, curv = eps, self.curvature_unchecked
-        while x_bp < (nxt := x - grad(x) / curv(x)) < x:
+        x, enm = eps, eps * n * m
+        while True:
+            t = 1.0 - x
+            g = 1.0 - t**m
+            nxt = x - (x - eps * g**n) / (1.0 - enm * g ** (n - 1) * t ** (m - 1))
+            if not x_bp < nxt < x:
+                return [0.0, x]
             x = nxt
-        return [0.0, x]
 
     def stationary_roots(self):
         """`stable_roots`, and the unstable roots beside and between them.
@@ -262,7 +269,7 @@ class LdpcBec(Potential):
 def _check_degrees(dv, dc) -> None:
     """ValueError unless dv and dc are integers >= 2, the degrees of a
     regular LDPC ensemble."""
-    if not all(isinstance(d, numbers.Integral) and d >= 2 for d in (dv, dc)):
+    if not all((type(d) is int or isinstance(d, numbers.Integral)) and d >= 2 for d in (dv, dc)):
         raise ValueError(f"degrees must be integers >= 2, got dv={dv!r}, dc={dc!r}")
 
 

@@ -154,7 +154,7 @@ class TestCriticalCurve:
         assert curve[0].error is not None
         assert np.isnan(curve[0].h_crit)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             critical_curve([0.1], h_bracket=(-0.3, -0.01), tol=tol, grid=GRID)

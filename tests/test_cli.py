@@ -145,6 +145,19 @@ class TestThresholdSc:
         assert code == 1
         assert "tol must be positive" in err
 
+    @pytest.mark.parametrize("dv", [3.5, 3.0])
+    def test_config_degrees_not_truncated(self, capsys, tmp_path, dv):
+        # a config degree reaches LdpcBec as given, which refuses a float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dv": dv, "dc": 6}))
+        code, out, err = run(
+            capsys, "threshold-sc", "--config", str(cfg), "--family", "ldpc",
+            "--bracket", "0.43", "0.6",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: degrees must be integers >= 2, got dv={dv!r}, dc=6\n"
+
     def test_infinite_tol_exits_1(self, capsys):
         code, out, err = run(
             capsys, "threshold-sc", "--family", "ldpc", "--dv", "3", "--dc", "6",

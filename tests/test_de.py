@@ -79,7 +79,7 @@ class TestBpThreshold:
         # for dv=2 the threshold is where eps*(dc-1) = 1
         assert bp_threshold(2, 4, tol=1e-4) == pytest.approx(1.0 / 3.0, abs=2e-4)
 
-    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_tol_rejected(self, tol):
         with pytest.raises(ValueError, match="tol must be positive"):
             bp_threshold(3, 6, tol=tol)
@@ -156,8 +156,13 @@ class TestBpThreshold:
         with pytest.raises(ValueError):
             bp_threshold(1, 6)
 
-    @pytest.mark.parametrize("dv, dc", [(3.5, 6), (3, 6.5), (3.0, 6)])
+    @pytest.mark.parametrize(
+        "dv, dc", [(3.5, 6), (3, 6.5), (3.0, 6), (True, 6), (3, "3"), (None, 6)]
+    )
     def test_degrees_must_be_integers(self, dv, dc):
         # no regular ensemble has these degrees, so there is no threshold
         with pytest.raises(ValueError, match="degrees must be integers"):
             bp_threshold(dv, dc)
+
+    def test_numpy_integer_degrees_accepted(self):
+        assert bp_threshold(np.int64(3), np.int32(6)) == bp_threshold(3, 6)

@@ -30,6 +30,20 @@ LDPC_POOL = [(dv, dc) for dv in range(3, 9) for dc in range(dv + 1, dv + 14)]
 LDPC_EDGE = [(2, dc) for dc in range(2, 10)] + [(dv, 2) for dv in range(3, 9)]
 
 
+def reference_newton_x_plus(spec):
+    """Test-side statement of LdpcBec's x+ solve for dv, dc >= 3: Newton from
+    epsilon through the two public methods, stopping at the first step that
+    would not fall inside (x_BP, x).  Returns x+ and the steps computed."""
+    x_bp = potentials._ldpc_x_bp(spec.dv - 1, spec.dc - 1)
+    x, steps = spec.epsilon, 0
+    while True:
+        steps += 1
+        nxt = x - spec.gradient_unchecked(x) / spec.curvature_unchecked(x)
+        if not x_bp < nxt < x:
+            return x, steps
+        x = nxt
+
+
 def scan_stationary_points(spec):
     """Test-side oracle: the roots of dU/dy as (y, stable) pairs from a sign
     scan over SCAN_POINTS nodes, each sign change refined by `brent_root`.
@@ -626,6 +640,18 @@ class TestStableRoots:
                 curv = spec.curvature_unchecked(np.linspace(x_bp, 1.0, 2001))
                 assert (np.diff(curv) >= 0.0).all(), (dv, dc, eps)
 
+    @pytest.mark.parametrize("dv", [3, 4, 5, 6, 7, 8])
+    def test_ldpc_x_plus_is_the_reference_newton_loop(self, dv):
+        # the inline Newton step does the operations of the two methods, so
+        # x+ is == the reference loop's: just above epsilon_BP, mid-range, at 1
+        for dc in sorted(c for v, c in LDPC_POOL if v == dv):
+            bp = bp_threshold(dv, dc)
+            for eps in (bp * (1.0 + 1e-9), 0.5 * (bp + 1.0), 1.0):
+                spec = LdpcBec(eps, dv, dc)
+                roots = spec.stable_roots()
+                assert len(roots) == 2, (dv, dc, eps)
+                assert roots[1] == reference_newton_x_plus(spec)[0], (dv, dc, eps)
+
     def test_ldpc_2_2_at_full_erasure_rejected(self):
         for spec in (LdpcBec(1.0, 2, 2), ReflectedPotential(LdpcBec(1.0, 2, 2))):
             for roots in (spec.stable_roots, spec.stationary_roots):
@@ -704,10 +730,12 @@ class TestEqualHeightParameter:
         assert len(calls) == 9
 
     def test_gradient_evaluations_counted(self, monkeypatch):
-        # every dU/dy and U'' evaluation of the stable-root solves at all 9
-        # probes: x_BP's sign check, then Newton from epsilon down to x+;
-        # no probe solves for the unstable root
+        # the stable-root solves at all 9 probes: x_BP's sign check is their
+        # one method call, the Newton steps down to x+ run inline, and no
+        # probe calls brent_root, as none solves for the unstable root
+        LdpcBec(0.5, 3, 6).stable_roots()  # caches x_BP, itself a brent_root
         calls = {"gradient_unchecked": 0, "curvature_unchecked": 0}
+        probes, solved = [], []
 
         def counting(name):
             method = getattr(LdpcBec, name)
@@ -718,10 +746,30 @@ class TestEqualHeightParameter:
 
             return counted
 
+        stable_roots, root = LdpcBec.stable_roots, potentials.brent_root
+
+        def recorded(spec):
+            probes.append(spec)
+            return stable_roots(spec)
+
+        def counted_root(f, *args, **kwargs):
+            solved.append(f.__name__)
+            return root(f, *args, **kwargs)
+
         for name in calls:
             monkeypatch.setattr(LdpcBec, name, counting(name))
+        monkeypatch.setattr(LdpcBec, "stable_roots", recorded)
+        monkeypatch.setattr(potentials, "brent_root", counted_root)
         equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6))
-        assert calls == {"gradient_unchecked": 71, "curvature_unchecked": 62}
+        assert calls == {"gradient_unchecked": 9, "curvature_unchecked": 0}
+        assert solved == ["height_diff"]  # equal_height_parameter's own solve
+        assert len(probes) == 9
+        # each probe's x+ is the Newton loop through the two methods, which
+        # takes 62 steps over the 9 probes
+        monkeypatch.undo()
+        results = [reference_newton_x_plus(spec) for spec in probes]
+        assert [x for x, _ in results] == [spec.stable_roots()[1] for spec in probes]
+        assert sum(steps for _, steps in results) == 62
 
     @pytest.mark.parametrize(
         "make_spec, bracket",
@@ -765,7 +813,9 @@ class TestValidation:
         with pytest.raises(ValueError):
             LdpcBec(0.4, 1, 6)
 
-    @pytest.mark.parametrize("dv, dc", [(3.5, 6), (3, 6.0), (3.0, 6)])
+    @pytest.mark.parametrize(
+        "dv, dc", [(3.5, 6), (3, 6.0), (3.0, 6), (True, 6), (3, "3"), (None, 6)]
+    )
     def test_ldpc_degrees_must_be_integers(self, dv, dc):
         # math.comb in U would raise TypeError later; construction refuses
         with pytest.raises(ValueError, match="degrees must be integers"):
