@@ -43,11 +43,14 @@ def run_de(
     max_iter: int = DEFAULT_MAX_ITER,
     tol: float = 1e-12,
 ) -> DeTrajectory:
-    """Iterate the recursion from y0 until successive change < tol."""
+    """Iterate the recursion from y0 until successive change < tol, a
+    positive, finite tolerance."""
     if not 0.0 <= y0 <= 1.0:
         raise ValueError(f"y0 must be in [0, 1], got {y0}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     iterates = [y0]
     for _ in range(max_iter):
         iterates.append(de_step(spec, iterates[-1]))

@@ -5,9 +5,10 @@ whose gradient reproduces the density-evolution recursion of regular LDPC
 ensembles over the binary erasure channel, plus the mirror image of either.
 Each states U, U' and U'' in closed form as array formulas without a domain
 check (`potential_unchecked`, `gradient_unchecked`, `curvature_unchecked`),
-and the base class's `potential` checks the domain in front of U.  Each finds
-its stationary points from its own structure: the roots of a cubic, level
-crossings of a unimodal ratio, or the mirrored roots of the base.  The module
+and the base class's `potential` checks the domain in front of U.  U takes a
+float or an array, with the same bits for both.  Each finds its stationary
+points from its own structure: the roots of a cubic, level crossings of a
+unimodal ratio, or the mirrored roots of the base.  The module
 also finds the equal-height (Maxwell) parameter of a bistable family, whose
 probes solve only for the stable roots (`Potential.stable_roots`).
 """
@@ -74,8 +75,10 @@ class Potential:
             )
         return arr
 
-    def potential_unchecked(self, arr: np.ndarray) -> np.ndarray:
-        """Vectorized U without the domain check; `potential` checks."""
+    def potential_unchecked(self, arr):
+        """U without the domain check; `potential` checks.  arr is a float or
+        an array: each family builds U from +, -, * and / alone, so a float
+        gives the bits of an array entry holding it."""
         raise NotImplementedError
 
     def gradient_unchecked(self, arr: np.ndarray) -> np.ndarray:
@@ -156,10 +159,12 @@ class LdpcBec(Potential):
     U(y) = int_0^y [z - eps * (1 - (1 - z)^(dc-1))^(dv-1)] dz, evaluated in
     closed form via the binomial expansion of the integrand: with
     n = dv - 1 and m = dc - 1, int_0^y (1 - (1-z)^m)^n dz =
-    sum_k C(n,k) (-1)^k (1 - (1-y)^(mk+1)) / (mk+1), k = 0..n, all n + 1
-    terms in one array expression over exponents and coefficients cached
-    per (n, m) (`_ldpc_potential_terms`).  The terms are summed along a
-    trailing axis, so U(y) has the same bits at any input shape.
+    sum_k C(n,k) (-1)^k (1 - (1-y)^(mk+1)) / (mk+1), k = 0..n.  With
+    t = 1 - y and s = t^m by repeated squaring, the terms
+    (1 - t s^k) c_k over coefficients c_k cached per (n, m)
+    (`_ldpc_potential_coefficients`) are added in the order k = 0..n, from
+    +, -, * and / alone (no `**`, whose numpy loop can differ from libm's
+    pow in the last bit), so a float and an array entry give the same bits.
     """
 
     epsilon: float
@@ -173,9 +178,14 @@ class LdpcBec(Potential):
         _check_degrees(self.dv, self.dc)
 
     def potential_unchecked(self, arr):
-        p, c = _ldpc_potential_terms(self.dv - 1, self.dc - 1)
-        acc = np.add.reduce((1.0 - (1.0 - arr)[..., None] ** p) * c, axis=-1)
-        return arr**2 / 2.0 - self.epsilon * acc
+        n, m = self.dv - 1, self.dc - 1
+        t = 1.0 - arr
+        s = _int_power(t, m)
+        acc, ts = 1.0 - t, t  # the k = 0 term, c_0 = 1
+        for c in _ldpc_potential_coefficients(n, m):
+            ts = ts * s
+            acc = acc + (1.0 - ts) * c
+        return arr * arr / 2.0 - self.epsilon * acc
 
     def gradient(self, y):
         return _maybe_scalar(self.gradient_unchecked(self._check_domain(y)), y)
@@ -274,15 +284,23 @@ def _check_degrees(dv, dc) -> None:
 
 
 @lru_cache(maxsize=128)
-def _ldpc_potential_terms(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exponents p_k = mk + 1 and coefficients C(n,k) (-1)^k / p_k,
-    k = 0..n, of the binomial expansion in `LdpcBec.potential_unchecked`;
-    read-only, as the cache shares them."""
-    p = m * np.arange(n + 1.0) + 1.0
-    c = np.array([math.comb(n, k) * (-1.0) ** k for k in range(n + 1)]) / p
-    p.flags.writeable = False
-    c.flags.writeable = False
-    return p, c
+def _ldpc_potential_coefficients(n: int, m: int) -> tuple[float, ...]:
+    """The coefficients c_k = C(n,k) (-1)^k / (mk + 1), k = 1..n, of the
+    binomial expansion in `LdpcBec.potential_unchecked` (c_0 = 1)."""
+    return tuple(math.comb(n, k) * (-1.0) ** k / (m * k + 1.0) for k in range(1, n + 1))
+
+
+def _int_power(x, e: int):
+    """x^e for an integer e >= 1 by repeated squaring, from products alone,
+    so a float and an array give the same bits."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else result * x
+        e >>= 1
+        if not e:
+            return result
+        x = x * x
 
 
 @lru_cache(maxsize=128)
@@ -459,9 +477,10 @@ def equal_height_parameter(
     smooth in the parameter (Yedla, Jian, Nguyen & Pfister, 2012), to within
     tol.  Each probe reads the outer two of the stable roots in the domain
     (`Potential.stable_roots`), so it solves for no unstable root, and reads
-    U at those wells in the domain unchecked (`potential_unchecked`).  The
-    bracket ends may come in either order.  Requires bistability at every
-    probed parameter, a sign change across the bracket and 0 < tol < inf.
+    U at each of those wells as a float, unchecked (`potential_unchecked`),
+    with no array built.  The bracket ends may come in either order.
+    Requires bistability at every probed parameter, a sign change across the
+    bracket and 0 < tol < inf.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -474,8 +493,7 @@ def equal_height_parameter(
             raise TopologyChangeError(
                 f"potential is not bistable at parameter {p}", p
             )
-        u_minus, u_plus = spec.potential_unchecked(np.array([wells[0], wells[-1]]))
-        return float(u_minus - u_plus)
+        return spec.potential_unchecked(wells[0]) - spec.potential_unchecked(wells[-1])
 
     a, b = float(param_interval[0]), float(param_interval[1])
     return brent_root(height_diff, a, b, tol)

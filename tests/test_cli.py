@@ -68,6 +68,15 @@ class TestDe:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "0", "-1", "nan"])
+    def test_run_tol_not_positive_and_finite_exits_1(self, capsys, tol):
+        code, out, err = run(
+            capsys, "de", "--dv", "3", "--dc", "6", "--eps", "0.3", f"--tol={tol}"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tol must be positive and finite")
+
 
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):

@@ -70,6 +70,12 @@ class TestRunDe:
         with pytest.raises(ValueError, match=match):
             run_de(LdpcBec(0.45, 3, 6), **kwargs)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        # tol = inf would stop after one step, and tol <= 0 or NaN never
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            run_de(LdpcBec(0.3, 3, 6), tol=tol)
+
 
 class TestBpThreshold:
     def test_regular_3_6(self):

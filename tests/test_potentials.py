@@ -188,13 +188,54 @@ class TestEvalPotential:
         assert values.tolist() == [[spec.potential(v) for v in row] for row in grid.tolist()]
 
     def test_ldpc_cached_terms_read_only(self):
-        p, c = potentials._ldpc_potential_terms(2, 5)
-        assert p.tolist() == [1.0, 6.0, 11.0]
-        assert c.tolist() == [1.0, -2.0 / 6.0, 1.0 / 11.0]
-        for arr in (p, c):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
+        # the cache shares one tuple of floats c_1..c_n per (n, m), which
+        # cannot be written
+        c = potentials._ldpc_potential_coefficients(2, 5)
+        assert c is potentials._ldpc_potential_coefficients(2, 5)
+        assert type(c) is tuple and all(type(v) is float for v in c)
+        assert c == (-2.0 / 6.0, 1.0 / 11.0)
+        with pytest.raises(TypeError):
+            c[0] = 0.0
+
+    def test_ldpc_matches_exact_rationals(self):
+        # a float y is a dyadic rational, so the binomial sum is exact in
+        # Fractions: U is within 2e-15 of it (worst, 1.6e-15, at (8, 2),
+        # epsilon = 1, y = 0.8)
+        from fractions import Fraction
+
+        ys = [0.0, 1e-9, 1e-6, 1e-3, 0.01] + [k / 10 for k in range(1, 10)] + [0.99, 1.0]
+        for dv, dc in LDPC_POOL + [(2, 2), (2, 3), (2, 21), (8, 2)]:
+            n, m = dv - 1, dc - 1
+            coeffs = [Fraction(math.comb(n, k) * (-1) ** k, m * k + 1) for k in range(n + 1)]
+            for eps in (0.0, 0.45, 1.0):
+                values = LdpcBec(eps, dv, dc).potential_unchecked(np.array(ys))
+                for y, v in zip(ys, values.tolist()):
+                    fy = Fraction(y)
+                    acc = sum(c * (1 - (1 - fy) ** (m * k + 1)) for k, c in enumerate(coeffs))
+                    exact = fy * fy / 2 - Fraction(eps) * acc
+                    assert abs(Fraction(v) - exact) <= Fraction(2e-15), (dv, dc, eps, y)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            DoubleWell(0.013),
+            LdpcBec(0.45, 3, 6),
+            LdpcBec(0.45, 8, 21),
+            LdpcBec(0.7, 5, 2),  # m = 1
+            LdpcBec(0.6, 2, 5),  # n = 1
+            LdpcBec(0.6, 2, 2),  # n = m = 1
+            ReflectedPotential(LdpcBec(0.45, 3, 6)),
+        ],
+        ids=repr,
+    )
+    def test_float_has_the_bits_of_the_array_entry(self, spec):
+        # U is built from +, -, * and / alone, so a float input goes through
+        # the operations of each array entry
+        lo, hi = spec.domain
+        ys = np.random.default_rng(1).uniform(lo, hi, 1000)
+        values = [spec.potential_unchecked(float(y)) for y in ys]
+        assert all(type(v) is float for v in values)
+        assert values == spec.potential_unchecked(ys).tolist()
 
 
 class TestEvalGradient:
@@ -517,7 +558,7 @@ class TestBrentRoot:
                 brackets += 1
         assert brackets > 150
 
-    @pytest.mark.parametrize("dv,dc", [(3, 6), (4, 8), (3, 9), (5, 7), (6, 12)])
+    @pytest.mark.parametrize("dv,dc", [(3, 4), (3, 6), (4, 8), (3, 9), (5, 7), (6, 12), (8, 21)])
     def test_matches_brentq_on_equal_height_brackets(self, dv, dc):
         from scipy.optimize import brentq
 
