@@ -69,6 +69,16 @@ def _merge(args: argparse.Namespace, defaults: dict) -> dict:
     return params
 
 
+def _integer(value) -> int:
+    """An integer flag or config value: 101, 101.0 or "101"; ValueError for
+    any other value, such as 101.5, which int() would truncate to 101."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, (float, str)) and float(value).is_integer():
+        return int(float(value))
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def _given(p: dict, **types) -> dict:
     """The keys of `types` that a flag or the config gave, each converted."""
     return {key: convert(p[key]) for key, convert in types.items() if key in p}
@@ -77,7 +87,7 @@ def _given(p: dict, **types) -> dict:
 def _grid(p: dict) -> pde.Grid:
     """The grid of --xmax and --n, with `pde.Grid()`'s value for each left out."""
     default = pde.Grid()
-    return pde.Grid(float(p.get("xmax", default.x_max)), int(p.get("n", default.n_points)))
+    return pde.Grid(float(p.get("xmax", default.x_max)), _integer(p.get("n", default.n_points)))
 
 
 def _h_bracket(value) -> tuple[float, float]:
@@ -87,8 +97,9 @@ def _h_bracket(value) -> tuple[float, float]:
     return tuple(bracket)
 
 
-# Defaults of the subcommands that relax one potential: the problem itself.
-_SPEC_DEFAULTS = {"family": "dw", "h": 0.0, "d": 0.01}
+# Defaults of the subcommands that relax one potential: the problem itself,
+# with each subcommand's tilt h in its `_COMMANDS` row.
+_SPEC_DEFAULTS = {"family": "dw", "d": 0.01}
 
 
 def _family(p: dict):
@@ -128,7 +139,7 @@ def cmd_de(p: dict) -> int:
         raise ValueError("either --eps or --threshold is required")
     eps = float(p["eps"])
     spec = potentials.LdpcBec(epsilon=eps, dv=dv, dc=dc)
-    traj = de_mod.run_de(spec, **_given(p, y0=float, max_iter=int, tol=float))
+    traj = de_mod.run_de(spec, **_given(p, y0=float, max_iter=_integer, tol=float))
     print(f"fixed_point {_fmt(traj.fixed_point)} after {len(traj.iterates) - 1} iterations"
           f" converged={traj.converged}")
     _write_csv(p, "de_trajectory.csv", "t,y", ((t, float(y)) for t, y in enumerate(traj.iterates)))
@@ -146,7 +157,7 @@ def cmd_simulate(p: dict) -> int:
         spec,
         pde.ConstantCoupling(float(p["d"])),
         t_end=float(p["t_end"]),
-        snapshot_every=int(p["snapshots"]),
+        snapshot_every=_integer(p["snapshots"]),
         keep_snapshots=bool(p.get("out")),  # kept only to be written
     )
     # an unsteady end is Other whatever its shape, as in `solve_stationary`
@@ -207,7 +218,7 @@ def cmd_bifurcation(p: dict) -> int:
         )
     if curve is None or "h" in p:  # with --curve, sweep only the tilts given
         h_values = _floats(p["h"]) if "h" in p else list(h_default)
-        cells = bif.sweep(d_values, h_values, grid=grid, **_given(p, t_cap=float, jobs=int))
+        cells = bif.sweep(d_values, h_values, grid=grid, **_given(p, t_cap=float, jobs=_integer))
         rows = ((c.d, c.h, c.classification or c.error, c.t_exit) for c in cells)
         _write_csv(p, "bifurcation_sweep.csv", "d,h,classification,t_exit", rows)
         n_pot = sum(1 for c in cells if c.classification == stationary.POT_SHAPED)
@@ -269,13 +280,13 @@ _COMMANDS = {
             "y0": {"type": float, "help": None}}, {}),
     "simulate": (cmd_simulate, "time integration of the coupled system",
                  f"{_SPEC_FLAGS} d xmax n y0 t_end snapshots", {},
-                 {**_SPEC_DEFAULTS, "y0": "minus", "t_end": 2e4,
+                 {**_SPEC_DEFAULTS, "h": -0.01, "y0": "minus", "t_end": 2e4,
                   "snapshots": pde.DEFAULT_SNAPSHOT_EVERY}),
     "stationary": (cmd_stationary, "relax to a stationary solution and classify",
-                   f"{_SPEC_FLAGS} d xmax n y0 t_cap", {}, _SPEC_DEFAULTS),
+                   f"{_SPEC_FLAGS} d xmax n y0 t_cap", {}, {**_SPEC_DEFAULTS, "h": -0.01}),
     "theorem1": (cmd_theorem1, "no-pot-shape verification sweep",
                  f"{_SPEC_FLAGS} d y0 xmax n t_cap", {"d": _COMMA_LIST, "y0": _COMMA_LIST},
-                 {**_SPEC_DEFAULTS, "d": "0.001,0.01,0.1"}),
+                 {**_SPEC_DEFAULTS, "h": 0.05, "d": "0.001,0.01,0.1"}),
     "bifurcation": (cmd_bifurcation, "(d, h) sweep and critical curve",
                     "d h curve h_bracket tol xmax n t_cap jobs",
                     {"d": _COMMA_LIST, "h": _COMMA_LIST}, {}),

@@ -7,16 +7,18 @@ trajectory by explicit Euler at `stable_dt`, a CFL step that rejects D <= 0,
 and tracks the free energy H = int [U(y) + D(y)/2 * y_x^2] dx along it.  `_relax`,
 which needs only the end state, takes linearly implicit Euler steps whose
 size follows the local error through the transient, then finishes the linear
-tail by Newton on the same 3-point system; the time it reports is the model
-time of its last accepted step plus the tail's extrapolated decay time
-ln(max|r| / DEFAULT_STEADY_TOL) / lambda_1 (lambda_1 the slowest decay
-rate), at most t_end.  Every solver here calls a state steady once the
-max-norm of its residual is below DEFAULT_STEADY_TOL.
+tail by Newton on the same 3-point system, which is that step at tau =
+infinity; the time it reports is the model time of its last accepted step
+plus the tail's extrapolated decay time ln(max|r| / DEFAULT_STEADY_TOL) /
+lambda_1 (lambda_1 the slowest decay rate), at most t_end.  Every solver
+here calls a state steady once the max-norm of its residual is below
+DEFAULT_STEADY_TOL.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,7 +32,7 @@ DEFAULT_SNAPSHOT_EVERY = 100
 # Largest local error, relative to the step, that a relaxation step accepts.
 RELAX_ERR_TOL = 0.1
 # Stencil residual below which `_relax` first tries to finish its linear tail
-# by Newton (`_newton_tail`), and retries after every tenfold fall.
+# by Newton, its step at tau = infinity, and retries after every tenfold fall.
 NEWTON_TAIL_TOL = 1e-2
 # Floor of AffineCoupling's diffusivity, which keeps it positive.
 CLIP_MIN = 1e-8
@@ -58,8 +60,9 @@ class Grid:
     def __post_init__(self):
         if not 0 < self.x_max < np.inf:
             raise ValueError("x_max must be positive and finite")
-        if self.n_points < 5 or self.n_points % 2 == 0:
-            raise ValueError("n_points must be an odd integer >= 5")
+        n = self.n_points
+        if not isinstance(n, numbers.Integral) or n < 5 or n % 2 == 0:
+            raise ValueError(f"n_points must be an odd integer >= 5, got {n!r}")
 
     @property
     def dx(self) -> float:
@@ -159,11 +162,11 @@ class TrajectoryRecord:
 def _interior_rhs(y: np.ndarray, dx: float, gradient, coupling) -> np.ndarray:
     """3-point flux-form stencil of -U'(y) - (1/2) D'(y) y_x^2 + (D(y) y_x)_x
     on the interior nodes; `gradient` evaluates U' there.  `coupling` is a
-    Coupling, or the d of a constant one: a float, or an array of one d per
-    interior node."""
-    d = coupling.d if isinstance(coupling, ConstantCoupling) else coupling
-    if not isinstance(d, Coupling):
-        return (d * (1.0 / dx**2)) * (y[2:] - 2.0 * y[1:-1] + y[:-2]) - gradient(y[1:-1])
+    Coupling, or a constant one's d * (1.0 / dx**2) at each interior node,
+    which `_relax` forms once per stack."""
+    k = coupling.d * (1.0 / dx**2) if isinstance(coupling, ConstantCoupling) else coupling
+    if not isinstance(k, Coupling):
+        return k * (y[2:] - 2.0 * y[1:-1] + y[:-2]) - gradient(y[1:-1])
     mid = 0.5 * (y[:-1] + y[1:])
     flux = coupling.diffusivity(mid) * np.diff(y) / dx
     slope = (y[2:] - y[:-2]) * (0.5 / dx)
@@ -302,46 +305,6 @@ def _stack_potential(specs: Sequence[Potential], spread: Callable) -> Potential:
     )
 
 
-def _newton_tail(
-    y: np.ndarray, r: np.ndarray, u2: np.ndarray, dx: float, spec: Potential, d: float
-) -> Optional[tuple[np.ndarray, float, float]]:
-    """Newton on the 3-point system from y (residual r, U'' = u2), which
-    `_relax` tries once max|r| < NEWTON_TAIL_TOL: the linearly implicit step
-    with tau = infinity, (-J) delta = r, at most three times.  Returns
-    (interior nodes, max|r|, lambda_1) when the residual falls below
-    DEFAULT_STEADY_TOL at a stable fixed point (lambda_1, the smallest
-    eigenvalue of -J there, > 0) reached by a correction of one sign (to
-    1e-12), as the Perron-mode tail of a monotone flow is; else None."""
-    from . import _lapack
-
-    gradient = spec.gradient_unchecked
-    k = d / dx**2
-    off = np.full(len(y) - 3, -k)
-    z = y.copy()
-    for _ in range(3):
-        delta, info = _lapack.dgtsv(off, 2.0 * k + u2, off, r)[3:]
-        if info != 0:
-            return None
-        z[1:-1] += delta
-        r = _interior_rhs(z, dx, gradient, d)
-        u2 = spec.curvature_unchecked(z[1:-1])
-        residual = float(np.abs(r).max())
-        if residual < DEFAULT_STEADY_TOL:
-            break
-    else:
-        return None
-    move = z[1:-1] - y[1:-1]
-    if min(float(move.max()), -float(move.min())) > 1e-12:
-        return None
-    # the smallest eigenvalue by bisection, as scipy's eigvalsh_tridiagonal
-    # calls it for select="i", select_range=(0, 0)
-    _, w, _, _, info = _lapack.dstebz(2.0 * k + u2, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
-    lam1 = float(w[0])
-    return (z[1:-1], residual, lam1) if lam1 > 0.0 else None
-
-
 def _relax(
     profiles: Sequence[Profile],
     specs: Sequence[Potential],
@@ -367,29 +330,33 @@ def _relax(
     The clock advances by the accepted tau and the last step is clipped, so
     t_end is model time and a capped run returns t == t_end.
 
-    Once max|r| < NEWTON_TAIL_TOL the linear tail is tried by Newton
-    (`_newton_tail`, pseudo-transient continuation with tau -> infinity;
-    Kelley & Keyes, SIAM J. Numer. Anal. 35, 1998).  A stable fixed point
-    reached monotonically ends the run, at the model time t +
-    ln(max|r| / DEFAULT_STEADY_TOL) / lambda_1 when the tail's slowest mode
-    (rate lambda_1) would decay to DEFAULT_STEADY_TOL, or at t_end if that
-    comes first.  Otherwise stepping goes on, and Newton is retried once
-    max|r| has fallen tenfold.  A run stops once max|r| < DEFAULT_STEADY_TOL.
-    Its fixed points are exactly those of the 3-point stencil.
+    Once max|r| < NEWTON_TAIL_TOL a row tries to finish its linear tail by
+    Newton: the same step at tau = infinity, (-J) delta = r, at most three
+    times, its clock held (pseudo-transient continuation; Kelley & Keyes,
+    SIAM J. Numer. Anal. 35, 1998).  A tail that brings max|r| below
+    DEFAULT_STEADY_TOL by a correction of one sign (to 1e-12), as the
+    Perron-mode tail of a monotone flow is, at a stable fixed point
+    (lambda_1, the smallest eigenvalue of -J there by LAPACK dstebz, > 0)
+    ends the run at the model time t + ln(max|r| / DEFAULT_STEADY_TOL) /
+    lambda_1, max|r| taken at the tail's start, or at t_end if that comes
+    first.  Any other tail, one that meets a zero pivot included, restores
+    the row's state, which steps on and tries again once max|r| has fallen
+    tenfold.  A run stops once max|r| < DEFAULT_STEADY_TOL.  Its fixed
+    points are exactly those of the 3-point stencil.
 
     The rows lie end to end in one array, so each step makes one stencil
     call, one U' and one U'' call on one potential for the whole stack
     (`_stack_potential`: the rows' own object when they share it, else
-    their family with per-node parameters) and one dgtsv call, whose
-    off-diagonals are zero at the seams: no pivot crosses a seam; after a
-    zero pivot the other rows are solved again alone and the singular row's
-    trial counts as non-finite.  Each row keeps its own tau0 (from its own
-    potential's max|U''|, taken once per distinct object), tau, clock and
-    Newton retries, runs its Newton tail on its own potential, and leaves
-    the stack once steady, capped or Newton-finished, so its result is
-    bit-identical to relaxing it alone.  Each stack, the first and every
-    smaller one left behind, evaluates its rows' r and U'' when it is laid
-    out.  Returns (final profile, max|r|, t) for each profile, in order.
+    their family with per-node parameters) and one dgtsv call, tails
+    included, whose off-diagonals are zero at the seams: no pivot crosses a
+    seam; after a zero pivot or an overflow the rows are solved again alone
+    and the singular row's trial counts as non-finite.  Each row keeps its
+    own tau0 (from its own potential's max|U''|, taken once per distinct
+    object), tau, clock and Newton retries, and leaves the stack once
+    steady, capped or Newton-finished, so its result is bit-identical to
+    relaxing it alone.  Each stack, the first and every smaller one left
+    behind, evaluates its rows' r and U'' when it is laid out.  Returns
+    (final profile, max|r|, t) for each profile, in order.
     """
     from . import _lapack
 
@@ -397,10 +364,15 @@ def _relax(
     tau0s = [1.0 / (1.0 + 0.5 * lip) for lip in _per_object(_reaction_lipschitz, specs)]
     y = np.concatenate([p.values for p in profiles])
     rows = list(range(len(profiles)))  # the index in profiles of each row
-    ts, newton_below = [0.0] * len(rows), [NEWTON_TAIL_TOL] * len(rows)
+    # a row has nothing to decide while gate <= max|r| < inf: gate NEWTON_TAIL_TOL, after
+    # a failed tail 0.1 max|r| at its start (>= DEFAULT_STEADY_TOL), inf in a tail and at t_end
+    ts, gates = [0.0] * len(rows), [NEWTON_TAIL_TOL if t_end > 0.0 else math.inf] * len(rows)
     lasts, rejected = [tau0 >= t_end for tau0 in tau0s], [False] * len(rows)
     steps = [t_end if last else tau0 for last, tau0 in zip(lasts, tau0s)]
     out: list = [None] * len(rows)
+    # the index in profiles of each row in its tail: [interior nodes, r, the
+    # diagonal of -J, max|r|] at the tail's start and the tail's solves so far
+    tails: dict = {}
 
     def spread(values):  # one value per row at each of its interior nodes, 0 at the seams
         return np.array(values + [0])[row_of]
@@ -412,7 +384,8 @@ def _relax(
             # the stack's row at each interior node, `stack` at the seams
             node = np.arange(1, stack * n - 1)
             row_of = np.where((node + 1) % n < 2, stack, node // n)
-            d, k = spread([ds[i] for i in rows]), spread([ds[i] / dx**2 for i in rows])
+            coef = spread([ds[i] for i in rows]) * (1.0 / dx**2)  # the stencil's d/dx^2
+            k = spread([ds[i] / dx**2 for i in rows])
             spec = _stack_potential([specs[i] for i in rows], spread)
             gradient, curvature = spec.gradient_unchecked, spec.curvature_unchecked
             two_k = 2.0 * k
@@ -422,44 +395,64 @@ def _relax(
             starts = np.array([i * n + s for i in range(stack) for s in (0, n - 2)][:-1])
             trial = y.copy()
             inner, trial_inner = y[1:-1], trial[1:-1]
-            r = _interior_rhs(y, dx, gradient, d)
-            u2 = curvature(inner)
-            diag = two_k + u2
+            r = _interior_rhs(y, dx, gradient, coef)
+            diag = two_k + curvature(inner)  # of -J
         done = []
         for i, residual in enumerate(np.maximum.reduceat(np.abs(r), starts).tolist()[::2]):
-            t, row = ts[i], slice(i * n, i * n + n - 2)
-            if not math.isfinite(residual):
-                raise DivergenceError(t, r[row])
-            if residual < DEFAULT_STEADY_TOL or t >= t_end:
-                end = inner[row], residual, t
-            elif residual < newton_below[i]:
-                y_row = y[i * n : i * n + n]
-                end = _newton_tail(y_row, r[row], u2[row], dx, specs[rows[i]], ds[rows[i]])
-                if end is None:
-                    newton_below[i] = 0.1 * residual
-                    continue
-                t_tail = t + math.log(residual / DEFAULT_STEADY_TOL) / end[2]
-                end = end[0], end[1], min(t_tail, t_end)
-            else:
+            if gates[i] <= residual < math.inf:  # nothing to decide
                 continue
+            t, row = ts[i], slice(i * n, i * n + n - 2)
+            tail = tails.get(rows[i])
+            if tail is None:
+                if not math.isfinite(residual):
+                    raise DivergenceError(t, r[row])
+                if residual >= DEFAULT_STEADY_TOL and t < t_end:  # try the tail
+                    tails[rows[i]] = [inner[row].copy(), r[row].copy(), diag[row].copy(), residual, 0]
+                    gates[i] = math.inf
+                    continue
+            elif DEFAULT_STEADY_TOL <= residual < math.inf and tail[4] < 3:
+                continue  # the tail goes on
+            else:
+                del tails[rows[i]]
+                nodes, r_start, diag_start, res_start, _ = tail
+                move, lam1 = inner[row] - nodes, 0.0
+                if residual < DEFAULT_STEADY_TOL and min(move.max(), -move.min()) <= 1e-12:
+                    # the smallest eigenvalue by bisection, as scipy's
+                    # eigvalsh_tridiagonal calls it for select="i", select_range=(0, 0)
+                    _, w, _, _, info = _lapack.dstebz(
+                        diag[row], neg_k[row][:-1], 2, 0.0, 1.0, 1, 1, 0.0, "E"
+                    )
+                    if info != 0:
+                        raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
+                    lam1 = float(w[0])
+                if not lam1 > 0.0:  # a failed tail: the row steps on from its start
+                    inner[row], r[row], diag[row] = nodes, r_start, diag_start
+                    gates[i] = max(0.1 * res_start, DEFAULT_STEADY_TOL)
+                    continue
+                t = min(t + math.log(res_start / DEFAULT_STEADY_TOL) / lam1, t_end)
             final = profiles[rows[i]].copy()
-            final.values[1:-1] = end[0]
-            out[rows[i]] = final, end[1], end[2]
+            final.values[1:-1] = inner[row]
+            out[rows[i]] = final, residual, t
             done.append(i)
         if done:
             keep = [i for i in range(len(rows)) if i not in done]
             if not keep:
                 return out
             y = y.reshape(len(rows), n)[keep].ravel()
-            rows, tau0s, ts, steps, lasts, newton_below, rejected = (
-                [v[i] for i in keep]
-                for v in (rows, tau0s, ts, steps, lasts, newton_below, rejected)
+            rows, tau0s, ts, steps, lasts, gates, rejected = (
+                [v[i] for i in keep] for v in (rows, tau0s, ts, steps, lasts, gates, rejected)
             )
             continue
-        col = spread(steps)
+        # a row in its tail takes tau = 1 without the identity: -J delta = r
+        in_tail = [i for i, p in enumerate(rows) if p in tails] if tails else []
+        cols = [1.0 if p in tails else s for p, s in zip(rows, steps)] if in_tail else steps
+        col = spread(cols)
         off = (col * neg_k)[:-1]
         shifted = col * diag
         shifted += 1.0
+        for i in in_tail:
+            shifted[i * n : i * n + n - 2] = diag[i * n : i * n + n - 2]
+            tails[rows[i]][4] += 1
         # dgtsv copies off as its subdiagonal and overwrites the rest in place.
         delta, info = _lapack.dgtsv(off, shifted, off, col * r, False, True, True, True)[3:]
         size = np.maximum.reduceat(np.abs(delta), starts).tolist()[::2]
@@ -468,40 +461,47 @@ def _relax(
             # and an overflow in one block spreads 0 * inf = NaN to the
             # others: solve each row alone, the singular row's trial NaN.
             delta = np.zeros_like(r)
-            for i, step in enumerate(steps):
+            for i, step in enumerate(cols):
                 row = slice(i * n, i * n + n - 2)
                 off = step * neg_k[row][:-1]
-                x, info_i = _lapack.dgtsv(off, step * diag[row] + 1.0, off, step * r[row])[3:]
+                block = step * diag[row] + (0.0 if i in in_tail else 1.0)
+                x, info_i = _lapack.dgtsv(off, block, off, step * r[row])[3:]
                 delta[row] = x if info_i == 0 and i != (info - 1) // n else np.nan
             size = np.maximum.reduceat(np.abs(delta), starts).tolist()[::2]
         np.add(inner, delta, out=trial_inner)
-        r_trial = _interior_rhs(trial, dx, gradient, d)
+        r_trial = _interior_rhs(trial, dx, gradient, coef)
         change = np.maximum.reduceat(np.abs(r_trial - r), starts).tolist()[::2]
         accepted = []
         for i, (step, tau0) in enumerate(zip(steps, tau0s)):
+            if tails and rows[i] in tails:  # a tail's iterate is always taken
+                accepted.append(True)
+                continue
             err = 0.5 * step * change[i] / size[i]
-            if not math.isfinite(err):
-                err = math.inf
             t = ts[i]
-            accept = step <= tau0 or err <= RELAX_ERR_TOL
-            if accept:
-                ts[i] = t = t_end if lasts[i] else t + step
-            grow = 0.9 * math.sqrt(RELAX_ERR_TOL / err) if err > 0.0 else 2.0
+            accept = step <= tau0 or err <= RELAX_ERR_TOL  # False for a NaN err
+            if accept and lasts[i]:
+                t = ts[i] = t_end
+                gates[i] = math.inf
+            elif accept:
+                t = ts[i] = t + step
+            # the factor for tau: 0.9 (RELAX_ERR_TOL / err)^(1/2) in [0.2, cap]
+            grow = 0.9 * math.sqrt(RELAX_ERR_TOL / err) if err > 0.0 else 2.0 if err == 0.0 else 0.0
             cap = 1.0 if rejected[i] else 2.0  # grow < 1 on a rejected step anyway
-            tau = max(tau0, step * min(cap, max(0.2, grow)))
+            tau = step * (0.2 if grow < 0.2 else cap if grow > cap else grow)
+            tau = tau0 if tau < tau0 else tau
             rejected[i] = not accept
             accepted.append(accept)
             lasts[i] = last = t + tau >= t_end
             steps[i] = t_end - t if last else tau
-        if all(accepted):
+        n_accepted = accepted.count(True)
+        if n_accepted == len(accepted):
             y, trial, inner, trial_inner, r = trial, y, trial_inner, inner, r_trial
-        elif any(accepted):
+        elif n_accepted:
             where = np.array(accepted + [False])[row_of]
             np.copyto(inner, trial_inner, where=where)
             np.copyto(r, r_trial, where=where)
-        if any(accepted):
-            u2 = curvature(inner)
-            diag = two_k + u2
+        if n_accepted:
+            diag = two_k + curvature(inner)
 
 
 def simulate_discrete_chain(

@@ -440,6 +440,42 @@ class TestBifurcation:
         assert h_crit == pytest.approx(-0.024, abs=1e-2)
 
 
+@pytest.mark.parametrize("command, answer", [
+    ("simulate", "steady=True"), ("stationary", "steady=True"), ("theorem1", "passed=True")])
+def test_bare_subcommand_answers(capsys, command, answer):
+    # the kept defaults are a problem that resolves: the fig-2 pot (h = -0.01)
+    # for simulate and stationary, and h = 0.05 for theorem1
+    code, out, err = run(capsys, command)
+    assert (code, err) == (0, "")
+    assert answer in out.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (("stationary", "--h=-0.01"), "n", 101.5),
+    (("de", "--dv", "3", "--dc", "6", "--eps", "0.45"), "max_iter", 3.7),
+    (("simulate", "--h=-0.01", "--n", "11", "--t-end", "1"), "snapshots", 2.5),
+    (("bifurcation", "--d", "0.1", "--h", "0.05", "--n", "11"), "jobs", 1.5),
+    (("stationary", "--h=-0.01"), "n", "101.5"),
+    (("stationary", "--h=-0.01"), "n", True),
+])
+def test_config_integer_keys_not_truncated(capsys, tmp_path, argv, key, value):
+    # int() would run 101.5 on 101 nodes and 3.7 as 3 iterations
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == f"error: expected an integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("n", [51, 51.0, "51"])
+def test_config_integral_n_accepted(capsys, tmp_path, n):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": n}))
+    code, _, _ = run(capsys, "stationary", "--config", str(cfg), "--out", str(tmp_path))
+    assert code == 0
+    assert len((tmp_path / "stationary_profile.csv").read_text().splitlines()) == 52
+
+
 # Cheap arguments for every subcommand and the files each writes under --out;
 # together they reach every CSV the handlers write.
 OUTPUTS = [

@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,16 @@ class TestGridProfile:
         # the floor of the stationary module's fourth-order slopes
         with pytest.raises(ValueError, match="odd integer >= 5"):
             Grid(1.0, 3)
+
+    @pytest.mark.parametrize("n_points", [101.0, 101.5, "101", np.float64(101.0), None])
+    def test_non_integer_n_points_rejected(self, n_points):
+        # refused at construction, not by a TypeError inside np.linspace later
+        with pytest.raises(ValueError, match=re.escape(f"odd integer >= 5, got {n_points!r}")):
+            Grid(1.0, n_points)
+
+    def test_numpy_integer_n_points_accepted(self):
+        grid = Grid(1.0, np.int64(101))
+        assert grid == Grid(1.0, 101) and len(grid.x) == 101
 
     @pytest.mark.parametrize("x_max", [float("nan"), float("inf")])
     def test_non_finite_x_max_rejected(self, x_max):

@@ -251,45 +251,61 @@ class TestRelaxation:
         assert np.max(final.values) > 0.99
         assert t > 10.0
 
-    def test_newton_finish_needs_one_signed_correction(self):
+    def test_newton_finish_needs_one_signed_correction(self, monkeypatch):
         # about the stable uniform state y = 1 (h = 0), a one-signed offset is
-        # finished by Newton and a sign-changing one is refused
+        # finished by Newton and a sign-changing one is refused: the run's
+        # first solve is its tail's (off-diagonal -k, tau = infinity), and a
+        # finished tail ends the run before any relaxation step (-tau k)
         grid = Grid(1.0, 101)
         spec = DoubleWell(0.0)
-        dx, d = grid.dx, 0.01
+        d = 0.01
+        k = d / grid.dx**2
+        dgtsv, offs = _lapack.dgtsv, []
+
+        def recorded(*args):
+            offs.append(args[0][0])
+            return dgtsv(*args)
+
+        monkeypatch.setattr(_lapack, "dgtsv", recorded)
         offsets = [(-np.cos(0.5 * np.pi * grid.x), True), (np.sin(np.pi * grid.x), False)]
         for offset, accepted in offsets:
-            y = Profile(grid, 1.0 + 1e-6 * offset, boundary_value=1.0).values
-            r = pde._interior_rhs(y, dx, spec.gradient_unchecked, pde.ConstantCoupling(d))
-            u2 = spec.curvature_unchecked(y[1:-1])
-            tail = pde._newton_tail(y, r, u2, dx, spec, d)
-            assert (tail is not None) == accepted
+            offs.clear()
+            start = Profile(grid, 1.0 + 1e-6 * offset, boundary_value=1.0)
+            _, residual, _ = pde._relax([start], [spec], [d], 1e4)[0]
+            assert residual < DEFAULT_STEADY_TOL and offs[0] == -k
+            assert (set(offs) == {-k}) == accepted
 
     def test_failed_tail_solve_steps_on(self, monkeypatch):
         # the pot at h = -0.05, d = 0.05 is Newton-finished at its first try
-        # (max|r| about 9.2e-3); a stand-in dgtsv reports a zero pivot on
-        # that try's first solve: the row takes relaxation steps again, tries
-        # the tail once more only once max|r| has fallen tenfold, and ends
-        # steady with the label of the unstubbed run
+        # (max|r| about 9.2e-3); a stand-in dgtsv reports a zero pivot in the
+        # row's block on that try's first solve: the row takes relaxation
+        # steps again, tries the tail once more only once max|r| has fallen
+        # tenfold, and ends steady with the label of the unstubbed run
         spec, d, grid = DoubleWell(-0.05), 0.05, Grid(1.0, 51)
         want = solve_stationary(spec, d, grid=grid)
         k = d / grid.dx**2
-        dgtsv, newton_tail, events = _lapack.dgtsv, pde._newton_tail, []
+        dgtsv, events = _lapack.dgtsv, []
 
         def stand_in(*args):
-            if len(args) == 8:  # a relaxation step: max|r| from tau r and -tau k
-                events.append(("step", np.max(np.abs(args[3])) / (-args[0][0] / k)))
-            elif ("zero pivot", None) not in events:
+            if len(args) == 4:  # the row solved alone after the zero pivot
+                return dgtsv(*args)
+            # max|r| from the right side tau r and the off-diagonal -tau k;
+            # a tail's solve has tau = 1 (-J delta = r), and its first solve
+            # follows a relaxation step
+            tau = -args[0][0] / k
+            res = np.max(np.abs(args[3])) / tau
+            if args[0][0] != -k:
+                events.append(("step", res))
+            elif not events or events[-1][0] == "step":
+                events.append(("tail", res))
+            else:
+                events.append(("newton", None))
+            if ("zero pivot", None) not in events and events[-1][0] == "tail":
                 events.append(("zero pivot", None))
                 return (*dgtsv(*args)[:4], 1)
             return dgtsv(*args)
 
-        def recorded(y, r, *args):
-            events.append(("tail", np.max(np.abs(r))))
-            return newton_tail(y, r, *args)
-
         monkeypatch.setattr(_lapack, "dgtsv", stand_in)
-        monkeypatch.setattr(pde, "_newton_tail", recorded)
         sol = solve_stationary(spec, d, grid=grid)
         tails = [i for i, (kind, _) in enumerate(events) if kind == "tail"]
         assert len(tails) == 2 and events[tails[0] + 1] == ("zero pivot", None)
@@ -299,6 +315,17 @@ class TestRelaxation:
         assert min(between) >= 0.1 * failed_at > retried_at
         assert sol.steady and sol.classification == want.classification == POT_SHAPED
         assert sol.t_exit != want.t_exit
+
+    def test_failed_tail_near_the_tolerance_ends_at_it(self):
+        # a sign-changing 1e-9 offset about y = 1 (h = 0): the tail tried at
+        # max|r| = 2.1e-9 is refused, and the steps that follow end the run
+        # at the first max|r| below DEFAULT_STEADY_TOL (9.0e-10), though it
+        # is above a tenth of the refused tail's start
+        grid = Grid(1.0, 51)
+        start = Profile(grid, 1.0 + 1e-9 * np.sin(np.pi * grid.x), boundary_value=1.0)
+        _, residual, t = pde._relax([start], [DoubleWell(0.0)], [0.01], 1e4)[0]
+        assert 0.5 * DEFAULT_STEADY_TOL < residual < DEFAULT_STEADY_TOL
+        assert 0.0 < t < 1.0
 
     @pytest.mark.parametrize("d, h", [(0.001, -0.005), (0.0316, -0.01), (0.1, -0.1)])
     def test_monotone_in_time_from_lower_state(self, d, h):
@@ -319,7 +346,9 @@ def stacks(draw):
     with steady ones and rows leave at every stack size: DoubleWell tilts,
     0.0 next to -0.0, each tilt as one object on several rows and as equal
     distinct objects, or reflected LdpcBec(eps, 3, 6) rows on one base; d
-    log-uniform on [10^-3.5, 1], y0 the default or drawn from the domain."""
+    log-uniform on [10^-3.5, 1], y0 the default, drawn from the domain, or
+    within 1e-3 of the boundary value y_plus: from there max|r| is often
+    below NEWTON_TAIL_TOL, so the run starts with a Newton tail."""
     grid = Grid(draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.sampled_from([5, 7, 11, 21, 51])))
     t_cap = draw(st.sampled_from([1.0, 30.0, 300.0, 3000.0]))
     if draw(st.booleans()):
@@ -331,7 +360,9 @@ def stacks(draw):
     cells = []
     for _ in range(draw(st.integers(1, 6))):
         spec = draw(st.sampled_from(pool))
-        y0 = draw(st.none() | st.floats(*spec.domain))
+        (lo, hi), y_plus = spec.domain, find_stationary_points(spec).y_plus
+        near = st.floats(-1e-3, 1e-3).map(lambda e: min(max(y_plus + e, lo), hi))
+        y0 = draw(st.none() | st.floats(lo, hi) | near)
         cells.append((spec, 10.0 ** draw(st.floats(-3.5, 0.0)), y0))
     return cells, grid, t_cap
 
@@ -366,7 +397,7 @@ class TestStackedRelaxation:
 
     def test_zero_pivot_rejects_only_its_row(self, monkeypatch):
         # a stand-in dgtsv reports a zero pivot in row 1 at the 30th
-        # relaxation step, of 56 or more (the first steps are at most tau0,
+        # stack step, of 56 or more (the first steps are at most tau0,
         # and those are always accepted): the other rows are re-solved and
         # end exactly as alone, and row 1 as alone with the same zero pivot
         grid = Grid(1.0, 51)
@@ -381,7 +412,7 @@ class TestStackedRelaxation:
 
             def stand_in(*args):
                 out = dgtsv(*args)
-                if len(args) == 8:  # a relaxation step, not a Newton solve
+                if len(args) == 8:  # a stack step, not a row solved alone
                     calls.append(None)
                     if len(calls) == 30:
                         return (*out[:4], node)
@@ -402,6 +433,42 @@ class TestStackedRelaxation:
             assert (residual, t) == (want_residual, want_t)
         # the rejected step shows: row 1 does not end as it does unstubbed
         assert stacked[1][2] != alone[1][2]
+
+    def test_tails_inside_a_stack_equal_solo_runs(self, monkeypatch):
+        # three rows near y = 1 (h = 0) start their tails at once: row 2's
+        # 1e-7 offset is finished by one solve, so it leaves and the stack is
+        # laid out again while rows 0 and 1 are mid-tail; at their second
+        # solve row 0 (one-signed offset) finishes and row 1 (sign-changing)
+        # fails, steps on, tries again and ends steady.  Each row equals its
+        # solo run, and dstebz runs once per finished tail: rows 2 and 0
+        grid, spec, d = Grid(1.0, 51), DoubleWell(0.0), 0.01
+        n, k = grid.n_points, d / grid.dx**2
+        shapes = [np.cos(0.5 * np.pi * grid.x), np.sin(np.pi * grid.x), np.cos(0.5 * np.pi * grid.x)]
+        starts = [
+            Profile(grid, 1.0 + a * shape, boundary_value=1.0)
+            for a, shape in zip([1e-3, 1e-3, 1e-7], shapes)
+        ]
+        alone = [pde._relax([p], [spec], [d], 1e4)[0] for p in starts]
+        dgtsv, dstebz, solves, rates = _lapack.dgtsv, _lapack.dstebz, [], []
+
+        def recorded(*args):  # each row's block: T in a tail (off-diagonal -k), s stepping
+            rows = (len(args[0]) + 3) // n
+            solves.append("".join("T" if args[0][i * n] == -k else "s" for i in range(rows)))
+            return dgtsv(*args)
+
+        def counted(*args):
+            rates.append(None)
+            return dstebz(*args)
+
+        monkeypatch.setattr(_lapack, "dgtsv", recorded)
+        monkeypatch.setattr(_lapack, "dstebz", counted)
+        stacked = pde._relax(starts, [spec] * 3, [d] * 3, 1e4)
+        assert solves[:3] == ["TTT", "TT", "s"] and "T" in solves[3:]
+        assert len(rates) == 2
+        for (final, residual, t), (want, want_residual, want_t) in zip(stacked, alone):
+            assert final.values.tobytes() == want.values.tobytes()
+            assert (residual, t) == (want_residual, want_t)
+            assert residual < DEFAULT_STEADY_TOL
 
     def test_mixed_potentials_equal_solo_runs(self, monkeypatch):
         # rows under DoubleWell at several tilts, 0.0 next to -0.0, -0.05 as
@@ -483,7 +550,7 @@ class TestStackedRelaxation:
             return interior_rhs(*args)
 
         def counted_dgtsv(*args):
-            calls["steps"] += len(args) == 8  # a relaxation step, not a Newton solve
+            calls["steps"] += len(args) == 8  # a stack step, not a row solved alone
             return dgtsv(*args)
 
         monkeypatch.setattr(pde, "_interior_rhs", counted_rhs)
