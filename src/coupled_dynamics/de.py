@@ -1,12 +1,14 @@
 """Uncoupled density-evolution recursion and its BP threshold.
 
 The recursion y_{t+1} = eps * (1 - (1 - y_t)^(dc-1))^(dv-1) is a descent step
-of the LdpcBec potential: y_{t+1} - y_t = -dU/dy(y_t).  From y_0 = 1 it decays
-to zero exactly when eps is below the BP threshold, which `bp_threshold`
-takes, without running the recursion, at the minimizer x_BP (closed forms for
-dv = 2, dc = 2).  `LdpcBec.stable_roots` reads dU/dy at the same x_BP to
-decide bistability, and its Newton solve for the stable root x+ never steps
-below it.
+of the LdpcBec potential: y_{t+1} - y_t = -dU/dy(y_t), with g(y) =
+1 - (1 - y)^(dc-1) from `potentials._ldpc_g`, relatively accurate near 0.
+From y_0 = 1 it decays to zero exactly when eps is below the BP threshold
+eps_BP, which `bp_threshold` reads, without running the recursion, from the
+BP point (x_BP, eps_BP) of `potentials._ldpc_bp`.  `LdpcBec.stable_roots`
+reads the same point: for dv, dc >= 3 it is bistable exactly when
+eps > eps_BP, and its Newton solve for the stable root x+ never steps below
+x_BP.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import LdpcBec, _check_degrees, _ldpc_x_bp
+from .potentials import LdpcBec, _check_degrees, _int_power, _ldpc_bp, _ldpc_g
 
 DEFAULT_MAX_ITER = 100_000
 
@@ -34,7 +36,7 @@ def de_step(spec: LdpcBec, y: float) -> float:
     """One recursion update; equals y - dU/dy(y)."""
     if not 0.0 <= y <= 1.0:
         raise ValueError(f"state must be in [0, 1], got {y}")
-    return spec.epsilon * (1.0 - (1.0 - y) ** (spec.dc - 1)) ** (spec.dv - 1)
+    return spec.epsilon * _int_power(_ldpc_g(y, spec.dc - 1), spec.dv - 1)
 
 
 def run_de(
@@ -60,14 +62,12 @@ def run_de(
 
 
 def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
-    """Largest erasure probability from which the recursion decays to zero.
-
+    """Largest erasure probability from which the recursion decays to zero:
     eps_BP = min over x in (0, 1] of x / (1 - (1 - x)^(dc-1))^(dv-1)
-    (Richardson & Urbanke, Modern Coding Theory, 2008): below it the map has
-    no fixed point but 0.  For dv, dc >= 3 the minimum is the ratio at x_BP
-    (`potentials._ldpc_x_bp`).  For dc = 2 the ratio x^(2-dv) is least at
-    x = 1, so eps_BP = 1; for dv = 2 it increases in x, so the infimum is its
-    x -> 0 limit 1/(dc - 1).
+    (Richardson & Urbanke, Modern Coding Theory, 2008), below which the map
+    has no fixed point but 0, from the cached BP point of
+    `potentials._ldpc_bp` (closed forms 1/(dc - 1) for dv = 2 and 1 for
+    dc = 2).
 
     tol: a positive, finite tolerance in x, which the result always meets,
     since x_BP is solved to within 1e-14.
@@ -75,10 +75,4 @@ def bp_threshold(dv: int, dc: int, tol: float = 1e-4) -> float:
     _check_degrees(dv, dc)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if dv == 2:
-        return 1.0 / (dc - 1)
-    if dc == 2:
-        return 1.0
-    n, m = dv - 1, dc - 1
-    x = _ldpc_x_bp(n, m)
-    return x / (1.0 - (1.0 - x) ** m) ** n
+    return _ldpc_bp(dv - 1, dc - 1)[1]

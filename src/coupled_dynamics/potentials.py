@@ -5,10 +5,10 @@ whose gradient reproduces the density-evolution recursion of regular LDPC
 ensembles over the binary erasure channel, plus the mirror image of either.
 Each states U, U' and U'' in closed form as array formulas without a domain
 check (`potential_unchecked`, `gradient_unchecked`, `curvature_unchecked`),
-and the base class's `potential` checks the domain in front of U.  U takes a
-float or an array, with the same bits for both.  Each finds its stationary
-points from its own structure: the roots of a cubic, level crossings of a
-unimodal ratio, or the mirrored roots of the base.  The module
+and the base class's `potential` checks the domain in front of U.  U, U' and
+U'' take a float or an array, with the same bits for both.  Each finds its
+stationary points from its own structure: the roots of a cubic, level
+crossings of a unimodal ratio, or the mirrored roots of the base.  The module
 also finds the equal-height (Maxwell) parameter of a bistable family, whose
 probes solve only for the stable roots (`Potential.stable_roots`).
 """
@@ -164,7 +164,8 @@ class LdpcBec(Potential):
     (1 - t s^k) c_k over coefficients c_k cached per (n, m)
     (`_ldpc_potential_coefficients`) are added in the order k = 0..n, from
     +, -, * and / alone (no `**`, whose numpy loop can differ from libm's
-    pow in the last bit), so a float and an array entry give the same bits.
+    pow in the last bit), so a float and an array entry give the same bits;
+    U' and U'' do the same through `_ldpc_g` and `_int_power`.
     """
 
     epsilon: float
@@ -191,25 +192,26 @@ class LdpcBec(Potential):
         return _maybe_scalar(self.gradient_unchecked(self._check_domain(y)), y)
 
     def gradient_unchecked(self, arr):
-        return arr - self.epsilon * (1.0 - (1.0 - arr) ** (self.dc - 1)) ** (self.dv - 1)
+        return arr - self.epsilon * _int_power(_ldpc_g(arr, self.dc - 1), self.dv - 1)
 
     def curvature_unchecked(self, arr):
         n, m = self.dv - 1, self.dc - 1
-        t = 1.0 - arr
-        return 1.0 - self.epsilon * n * m * (1.0 - t**m) ** (n - 1) * t ** (m - 1)
+        g, t = _ldpc_g(arr, m), 1.0 - arr
+        return 1.0 - self.epsilon * n * m * _int_power(g, n - 1) * _int_power(t, m - 1)
 
     def stable_roots(self):
         """The stable roots among y = 0 and the level crossings
-        eps(x) = epsilon in (0, 1] of eps(x) = x / g(x)^n, g(x) = 1 - (1-x)^m,
+        eps(x) = epsilon in (0, 1] of eps(x) = x / g(x)^n, g = `_ldpc_g`,
         n = dv - 1, m = dc - 1 (Richardson & Urbanke, Modern Coding Theory,
         2008), where dU/dy = x - epsilon g(x)^n changes sign.
 
-        For n, m >= 2, eps(x) falls from +inf to its minimum at x_BP
-        (`_ldpc_x_bp`), then rises to eps(1) = 1.  Below the minimum 0 is
-        the only root; above it 0 is stable, and so is x+ in
-        [x_BP, epsilon], exactly 1 at epsilon = 1.  For n = 1 dU/dy is convex
-        with slope 1 - epsilon m at 0: 0 is stable if that slope is >= 0,
-        else unstable with a stable root x+ in [the minimum of dU/dy,
+        For n, m >= 2, eps(x) falls from +inf to its minimum eps_BP at x_BP
+        (`_ldpc_bp`), then rises to eps(1) = 1.  Below the minimum 0 is the
+        only root; above it 0 is stable, and so is x+ in [x_BP, epsilon],
+        exactly 1 at epsilon = 1; as dU/dy(x_BP) = g(x_BP)^n (eps_BP -
+        epsilon), epsilon > eps_BP is dU/dy(x_BP) < 0.  For n = 1 dU/dy is
+        convex with slope 1 - epsilon m at 0: 0 is stable if that slope is
+        >= 0, else unstable with a stable root x+ in [the minimum of dU/dy,
         epsilon].  Either way x+ <= epsilon, as x+ = epsilon g(x+)^n with
         g <= 1; and dU/dy(epsilon) = epsilon (1 - g(epsilon)^n) >= 0,
         zero only at epsilon = 1, so epsilon closes the bracket.  For m = 1
@@ -218,24 +220,27 @@ class LdpcBec(Potential):
 
         For n, m >= 2, x+ is found by Newton from epsilon with the exact U''.
         Each step x - dU/dy / U'' is computed inline from one t = 1 - x and
-        g = 1 - t^m, with the operations of `gradient_unchecked` and
-        `curvature_unchecked` in their order, so it has their bits without
-        their two calls.  (g^n)'' <= 0 wherever (1-x)^m <=
-        (m - 1)/(nm - 1), that is from an inflection x_c on; Bernoulli's
-        inequality gives s(x_c) <= 0 for the slope function s of
-        `_ldpc_x_bp`, so x_BP >= x_c and dU/dy is convex on [x_BP, 1], and
-        increasing on [x+, 1] as it is negative at x_BP.  Each Newton step
-        from above x+ therefore lands in [x+, x): the iterates fall
-        monotonically to x+, and the loop stops at the first step that would
-        not fall or would leave (x_BP, x), the rounding floor.  No iterate
-        leaves [x_BP, epsilon], so none reaches the unstable root.  For
-        n = 1, x+ stays a `brent_root`: just above epsilon m = 1 it lies near
-        0, where dU/dy is the difference of two nearly equal terms, and a
-        Newton stop there can miss x+ by more than 1e-8 relative, so dU/dy
-        does not change sign across x+ (1 -+ 1e-8).
+        g = 1 - t**m: x > x_BP > (n - 1)/(nm - 1) >= 1/(2m - 1) gives
+        t^m < e^(-1/2), so g > 0.39 and nothing cancels, and routing the step
+        through `_ldpc_g` and `_int_power` would cost the equal-height probes
+        about 60 % more time.  So x+ agrees with Newton through
+        `gradient_unchecked` and `curvature_unchecked` to rounding, not bit
+        for bit.  (g^n)'' <= 0 wherever (1-x)^m <= (m - 1)/(nm - 1), that is
+        from an inflection x_c on; Bernoulli's inequality gives s(x_c) <= 0
+        for the slope function s of `_ldpc_bp`, so x_BP >= x_c and dU/dy is
+        convex on [x_BP, 1], and increasing on [x+, 1] as it is negative at
+        x_BP.  Each Newton step from above x+ therefore lands in [x+, x): the
+        iterates fall monotonically to x+, and the loop stops at the first
+        step that would not fall or would leave (x_BP, x), the rounding
+        floor.  No iterate leaves [x_BP, epsilon], so none reaches the
+        unstable root.  For n = 1, x+ is a `brent_root` to a relative xtol:
+        just above epsilon m = 1 it is about 2 (epsilon m - 1) /
+        (epsilon m (m - 1)), where dU/dy is relatively accurate, as g is, but
+        its slope is only epsilon m - 1, so x+ is within about
+        2.2e-16 / (epsilon m - 1) relative of the exact root (2e-7 at
+        epsilon m = 1 + 1e-9).
         """
         n, m, eps = self.dv - 1, self.dc - 1, self.epsilon
-        grad = self.gradient_unchecked  # on floats here
         if m == 1:
             if n == 1 and eps == 1.0:
                 raise ValueError("dU/dy vanishes identically for dv = dc = 2, epsilon = 1")
@@ -244,10 +249,9 @@ class LdpcBec(Potential):
             if eps * m <= 1.0:
                 return [0.0]
             lo = 1.0 - (eps * m) ** (-1.0 / (m - 1))  # the minimum of dU/dy
-            return [brent_root(grad, lo, eps, _ROOT_XTOL)]
-        x_bp = _ldpc_x_bp(n, m)
-        g_bp = grad(x_bp)
-        if not g_bp < 0.0:
+            return [brent_root(self.gradient_unchecked, lo, eps, _ROOT_XTOL * lo)]
+        x_bp, eps_bp = _ldpc_bp(n, m)
+        if eps <= eps_bp:
             return [0.0]
         x, enm = eps, eps * n * m
         while True:
@@ -264,13 +268,13 @@ class LdpcBec(Potential):
         unstable where `stable_roots` does not list it (0 for n = 1 once
         epsilon m > 1, 1 for m = 1).  Between the two stable roots of
         n, m >= 2 lies an unstable one in [a, x_BP], where g(x) <= m x makes
-        dU/dy(a) > 0."""
+        dU/dy(a) > 0, and epsilon > eps_BP makes the float dU/dy(x_BP) <= 0."""
         stable = self.stable_roots()
         ends = (0.0, 1.0) if self.epsilon == 1.0 else (0.0,)
         roots = [(y, True) for y in stable] + [(y, False) for y in ends if y not in stable]
         if len(stable) == 2:
             n, m = self.dv - 1, self.dc - 1
-            x_bp = _ldpc_x_bp(n, m)
+            x_bp = _ldpc_bp(n, m)[0]
             a = min(0.5 * (self.epsilon * m**n) ** (-1.0 / (n - 1)), 0.5 * x_bp)
             roots.append((brent_root(self.gradient_unchecked, a, x_bp, _ROOT_XTOL), False))
         return sorted(roots)
@@ -291,8 +295,11 @@ def _ldpc_potential_coefficients(n: int, m: int) -> tuple[float, ...]:
 
 
 def _int_power(x, e: int):
-    """x^e for an integer e >= 1 by repeated squaring, from products alone,
-    so a float and an array give the same bits."""
+    """x^e for an integer e >= 0 (1.0, in the shape of x, for e = 0) by
+    repeated squaring, from products alone, so a float and an array give the
+    same bits."""
+    if not e:
+        return 1.0 + 0.0 * x
     result = None
     while True:
         if e & 1:
@@ -303,21 +310,47 @@ def _int_power(x, e: int):
         x = x * x
 
 
-@lru_cache(maxsize=128)
-def _ldpc_x_bp(n: int, m: int) -> float:
-    """The minimizer x_BP of x / g(x)^n, g(x) = 1 - (1-x)^m, for n, m >= 2
-    (n = dv - 1, m = dc - 1): the root of s(x) = 1 - (1-x)^m -
-    n m x (1-x)^(m-1), which has the sign of the slope of log(x / g(x)^n).
+def _ldpc_g(y, m: int):
+    """g(y) = 1 - (1 - y)^m, m >= 1, by `_int_power`'s squaring on the
+    complement: g_1 = y, g_2k = g_k (2 - g_k), g_(a+b) = g_a + g_b (1 - g_a).
+    For y in [0, 1] each term is non-negative, so nothing cancels near 0,
+    where 1 - (1 - y)^m loses all its digits: g is within 1e-15 relative on
+    [1e-15, 1] (4.1e-16 at worst for m in {2, 5, 7, 20}), and a float and an
+    array give the same bits."""
+    result = None
+    while True:
+        if m & 1:
+            result = y if result is None else result + y * (1.0 - result)
+        m >>= 1
+        if not m:
+            return result
+        y = y * (2.0 - y)
 
-    s has exactly one root in (0, 1), and it lies in ((n - 1)/(nm - 1), 1): in
-    t = 1 - x its derivative m t^(m-2) ((nm - 1) t - n (m - 1)) changes sign
-    once, at x = (n - 1)/(nm - 1), while s(x) -> 0- as x -> 0 and s(1) = 1.
+
+@lru_cache(maxsize=128)
+def _ldpc_bp(n: int, m: int) -> tuple[float, float]:
+    """The BP point (x_BP, eps_BP) for n = dv - 1, m = dc - 1: eps_BP is the
+    minimum over x in (0, 1] of eps(x) = x / g(x)^n, g = `_ldpc_g`
+    (Richardson & Urbanke, Modern Coding Theory, 2008), taken at x_BP.
+
+    For n, m >= 2, x_BP is the root of s(x) = g(x) - n m x (1-x)^(m-1),
+    which has the sign of the slope of log eps(x).  s has exactly one root
+    in (0, 1), and it lies in ((n - 1)/(nm - 1), 1): in t = 1 - x its
+    derivative m t^(m-2) ((nm - 1) t - n (m - 1)) changes sign once, at
+    x = (n - 1)/(nm - 1), while s(x) -> 0- as x -> 0 and s(1) = 1.  For
+    m = 1 eps(x) = x^(1-n) is least at x = 1, so the point is (1, 1); for
+    n = 1 eps(x) increases in x, so eps_BP is its x -> 0 limit 1/m.
     """
+    if m == 1:
+        return 1.0, 1.0
+    if n == 1:
+        return 0.0, 1.0 / m
 
     def slope(x):
-        return 1.0 - (1.0 - x) ** m - n * m * x * (1.0 - x) ** (m - 1)
+        return _ldpc_g(x, m) - n * m * x * _int_power(1.0 - x, m - 1)
 
-    return brent_root(slope, (n - 1) / (n * m - 1), 1.0, _ROOT_XTOL)
+    x = brent_root(slope, (n - 1) / (n * m - 1), 1.0, _ROOT_XTOL)
+    return x, x / _int_power(_ldpc_g(x, m), n)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def reference_newton_x_plus(spec):
     """Test-side statement of LdpcBec's x+ solve for dv, dc >= 3: Newton from
     epsilon through the two public methods, stopping at the first step that
     would not fall inside (x_BP, x).  Returns x+ and the steps computed."""
-    x_bp = potentials._ldpc_x_bp(spec.dv - 1, spec.dc - 1)
+    x_bp = potentials._ldpc_bp(spec.dv - 1, spec.dc - 1)[0]
     x, steps = spec.epsilon, 0
     while True:
         steps += 1
@@ -42,6 +43,27 @@ def reference_newton_x_plus(spec):
         if not x_bp < nxt < x:
             return x, steps
         x = nxt
+
+
+def exact_ldpc_root(spec, lo, hi):
+    """Test-side oracle: the root of LdpcBec's dU/dy in [lo, hi] for the
+    spec's float epsilon, by bisection with the sign of dU/dy taken exactly
+    in Fractions, to 1e-15 relative."""
+    n, m, eps = spec.dv - 1, spec.dc - 1, Fraction(spec.epsilon)
+
+    def positive(y):
+        fy = Fraction(y)
+        return fy - eps * (1 - (1 - fy) ** m) ** n > 0
+
+    up = positive(hi)
+    assert positive(lo) != up, (spec, lo, hi)
+    while hi - lo > 1e-15 * lo:
+        mid = 0.5 * (lo + hi)
+        if positive(mid) == up:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def scan_stationary_points(spec):
@@ -229,13 +251,38 @@ class TestEvalPotential:
         ids=repr,
     )
     def test_float_has_the_bits_of_the_array_entry(self, spec):
-        # U is built from +, -, * and / alone, so a float input goes through
+        # U, U' and U'' are built from +, -, * and / alone (LdpcBec's U' and
+        # U'' through _ldpc_g and _int_power), so a float input goes through
         # the operations of each array entry
         lo, hi = spec.domain
         ys = np.random.default_rng(1).uniform(lo, hi, 1000)
-        values = [spec.potential_unchecked(float(y)) for y in ys]
-        assert all(type(v) is float for v in values)
-        assert values == spec.potential_unchecked(ys).tolist()
+        for method in (
+            spec.potential_unchecked,
+            spec.gradient_unchecked,
+            spec.curvature_unchecked,
+        ):
+            values = [method(float(y)) for y in ys]
+            assert all(type(v) is float for v in values), method
+            assert values == method(ys).tolist(), method
+
+
+class TestLdpcHelpers:
+    def test_int_power_zero_exponent_is_one(self):
+        # dv = 2 or dc = 2 puts a zero exponent into U''
+        assert potentials._int_power(0.3, 0) == 1.0
+        assert potentials._int_power(np.linspace(0.0, 1.0, 5), 0).tolist() == [1.0] * 5
+
+    @pytest.mark.parametrize("m", [2, 5, 7, 20])
+    def test_ldpc_g_matches_exact_rationals(self, m):
+        # 1 - (1 - y)^m cancels as y -> 0 (4.3e-2 relative at worst on these
+        # y); _ldpc_g adds and multiplies non-negative terms only, so it
+        # stays within 1e-15 relative, and a float gets an array entry's bits
+        ys = np.logspace(-15.0, 0.0, 800)
+        g = potentials._ldpc_g(ys, m)
+        for y, v in zip(ys.tolist(), g.tolist()):
+            exact = 1 - (1 - Fraction(y)) ** m
+            assert abs(Fraction(v) - exact) <= Fraction(1e-15) * exact, (m, y)
+        assert [potentials._ldpc_g(y, m) for y in ys.tolist()] == g.tolist()
 
 
 class TestEvalGradient:
@@ -521,7 +568,9 @@ class TestExactRootsMatchScan:
         # At epsilon_BP (1 + 1e-9) the stable root sits next to the unstable
         # one (next to 0 for dv = 2), closer than the scan's node spacing and
         # rounding-limited to about 1e-12, so each root is checked as a sign
-        # change of dU/dy across y (1 -+ 1e-8) instead.
+        # change of dU/dy across y (1 -+ 1e-8) instead.  For dv = 2 the slope
+        # of dU/dy at x+ is about 1e-9, so that sign change is below the
+        # rounding of dU/dy, and x+ is checked against the exact root instead.
         for dc in sorted(c for v, c in LDPC_POOL + LDPC_EDGE if v == dv and c > 2):
             eps = bp_threshold(dv, dc) * (1.0 + 1e-9)
             spec = LdpcBec(eps, dv, dc)
@@ -529,6 +578,10 @@ class TestExactRootsMatchScan:
             expected = [False, True] if dv == 2 else [True, False, True]
             assert [p.stable for p in points] == expected, (dv, dc)
             assert points[-1].y <= eps
+            if dv == 2:
+                x = points[1].y
+                assert abs(x - exact_ldpc_root(spec, 0.5 * x, 2.0 * x)) <= 1e-6 * x, (dv, dc)
+                continue
             for p in points[1:]:
                 below, above = spec.gradient_unchecked(np.array([1.0 - 1e-8, 1.0 + 1e-8]) * p.y)
                 assert (below < 0.0 < above) if p.stable else (below > 0.0 > above), (dv, dc, p)
@@ -649,6 +702,21 @@ class TestStableRoots:
             self.assert_stable(spec)
             assert (spec.stable_roots() == [0.0]) == (eps * (dc - 1) <= 1.0)
 
+    @pytest.mark.parametrize("dc", [3, 6, 21])
+    def test_ldpc_dv_2_x_plus_relative_accuracy(self, dc):
+        # just above epsilon m = 1, x+ ~ 2 (epsilon m - 1) / (epsilon m (m - 1))
+        # lies next to 0, where the slope of dU/dy is only epsilon m - 1: x+
+        # is within 2.2e-16 / (epsilon m - 1) relative of the exact root for
+        # the same float epsilon, plus the relative xtol, so within 1e-6 at
+        # epsilon_BP (1 + 1e-9)
+        m = dc - 1
+        for r in (1e-12, 1e-9, 1e-6, 1e-3, 0.1):
+            spec = LdpcBec(bp_threshold(2, dc) * (1.0 + r), 2, dc)
+            (x,) = spec.stable_roots()
+            exact = exact_ldpc_root(spec, 0.5 * x, 2.0 * x)
+            bound = 2.2e-16 / (spec.epsilon * m - 1.0) + 5e-14
+            assert abs(x - exact) <= bound * exact, (dc, r)
+
     @pytest.mark.parametrize("dv", [3, 5, 8])
     def test_ldpc_dc_2(self, dv):
         # 0 is the one stable root; at epsilon = 1 the root 1 is unstable
@@ -667,7 +735,7 @@ class TestStableRoots:
         rs = (1e-9, 1e-6, 1e-3, 1e-2, 0.1)
         for dc in range(dv + 1, 22):
             bp = bp_threshold(dv, dc)
-            x_bp = potentials._ldpc_x_bp(dv - 1, dc - 1)
+            x_bp = potentials._ldpc_bp(dv - 1, dc - 1)[0]
             epsilons = {bp * (1.0 + r) for r in rs} | {bp + (1.0 - bp) * r for r in rs} | {1.0}
             for eps in sorted(e for e in epsilons if e <= 1.0):
                 spec = LdpcBec(eps, dv, dc)
@@ -683,15 +751,18 @@ class TestStableRoots:
 
     @pytest.mark.parametrize("dv", [3, 4, 5, 6, 7, 8])
     def test_ldpc_x_plus_is_the_reference_newton_loop(self, dv):
-        # the inline Newton step does the operations of the two methods, so
-        # x+ is == the reference loop's: just above epsilon_BP, mid-range, at 1
+        # the inline Newton step takes g = 1 - t**m, the methods take
+        # _ldpc_g, so x+ matches the reference loop to the bounds of
+        # test_ldpc_newton_x_plus_against_brent: just above epsilon_BP,
+        # mid-range, at 1
         for dc in sorted(c for v, c in LDPC_POOL if v == dv):
             bp = bp_threshold(dv, dc)
-            for eps in (bp * (1.0 + 1e-9), 0.5 * (bp + 1.0), 1.0):
+            cases = ((bp * (1.0 + 1e-9), 5e-12), (0.5 * (bp + 1.0), 1e-13), (1.0, 1e-13))
+            for eps, bound in cases:
                 spec = LdpcBec(eps, dv, dc)
                 roots = spec.stable_roots()
                 assert len(roots) == 2, (dv, dc, eps)
-                assert roots[1] == reference_newton_x_plus(spec)[0], (dv, dc, eps)
+                assert abs(roots[1] - reference_newton_x_plus(spec)[0]) <= bound, (dv, dc, eps)
 
     def test_ldpc_2_2_at_full_erasure_rejected(self):
         for spec in (LdpcBec(1.0, 2, 2), ReflectedPotential(LdpcBec(1.0, 2, 2))):
@@ -771,9 +842,10 @@ class TestEqualHeightParameter:
         assert len(calls) == 9
 
     def test_gradient_evaluations_counted(self, monkeypatch):
-        # the stable-root solves at all 9 probes: x_BP's sign check is their
-        # one method call, the Newton steps down to x+ run inline, and no
-        # probe calls brent_root, as none solves for the unstable root
+        # the stable-root solves at all 9 probes: bistability is epsilon >
+        # epsilon_BP and the Newton steps down to x+ run inline, so no probe
+        # calls a method, and none calls brent_root, as none solves for the
+        # unstable root
         LdpcBec(0.5, 3, 6).stable_roots()  # caches x_BP, itself a brent_root
         calls = {"gradient_unchecked": 0, "curvature_unchecked": 0}
         probes, solved = [], []
@@ -802,15 +874,17 @@ class TestEqualHeightParameter:
         monkeypatch.setattr(LdpcBec, "stable_roots", recorded)
         monkeypatch.setattr(potentials, "brent_root", counted_root)
         equal_height_parameter(lambda e: LdpcBec(e, 3, 6), (0.43, 0.6))
-        assert calls == {"gradient_unchecked": 9, "curvature_unchecked": 0}
+        assert calls == {"gradient_unchecked": 0, "curvature_unchecked": 0}
         assert solved == ["height_diff"]  # equal_height_parameter's own solve
         assert len(probes) == 9
-        # each probe's x+ is the Newton loop through the two methods, which
-        # takes 62 steps over the 9 probes
+        # each probe's x+ is within 1e-13 of the Newton loop through the two
+        # methods (no probe lies within 1e-6 relative of epsilon_BP), which
+        # takes 64 steps over the 9 probes
         monkeypatch.undo()
         results = [reference_newton_x_plus(spec) for spec in probes]
-        assert [x for x, _ in results] == [spec.stable_roots()[1] for spec in probes]
-        assert sum(steps for _, steps in results) == 62
+        for (x, _), spec in zip(results, probes):
+            assert abs(x - spec.stable_roots()[1]) <= 1e-13, spec
+        assert sum(steps for _, steps in results) == 64
 
     @pytest.mark.parametrize(
         "make_spec, bracket",
