@@ -19,10 +19,9 @@ UNRESOLVED = "Unresolved"
 
 DEFAULT_T_CAP = 1e4
 # Gauss-Legendre nodes per piece of the time-map integral, and the centers
-# sampled in each of the stages that minimize it.
+# sampled in the first stage that minimizes it.
 _TIME_MAP_NODES = 32
 _CENTER_SAMPLES = 16
-_CENTER_STAGES = 4
 # Smallest |h| of a critical_curve bracket end: closer to 0, where U(y_plus) -
 # U(y_minus) is about 2|h|, rounding moves the time map by more than 1e-4.
 _H_FLOOR = 1e-13
@@ -163,24 +162,43 @@ def _pot_time(centers: np.ndarray, h: float, y_plus: float) -> np.ndarray:
 
 def _min_pot_time(h: float) -> float:
     """min of the time map over the admissible centers (y_minus, y_c*) of
-    DoubleWell(h), -2/(3 sqrt 3) < h < 0, where U(y_c*) = U(y_plus).  Each
-    stage samples _CENTER_SAMPLES centers and keeps the two cells around the
-    smallest; the vertex of the parabola through the last three gives the
-    value."""
+    DoubleWell(h), -2/(3 sqrt 3) < h < 0, where U(y_c*) = U(y_plus).
+
+    One stage samples _CENTER_SAMPLES centers spaced s = (y_c* - y_minus) /
+    (_CENTER_SAMPLES + 1); the least sample and its neighbours (the first or
+    last three samples, if it is one of them) form the first triple.  Two
+    refinements each sample v - s, v and v + s, where v is the vertex of the
+    parabola through the current triple and s = s_prev^2 / (y_c* - y_minus):
+    that vertex is off by O(s_prev^2), so the new triple holds the minimum.
+    The value is the least sample or, if less, the last triple's vertex
+    value.  A triple that is not convex, or whose vertex lies outside it,
+    ends the search with the least sample.  22 centers in 3 `_pot_time`
+    calls.
+
+    The value agrees with a 9-stage, 32-center search within about
+    2e-17 / |h| relative (1e-14 at h = -1e-3, 1e-12 at -1e-5, 5e-9 at
+    -1e-9): near h = 0, U(y_plus) - U(y_c) is about 2|h| and loses the
+    digits of |h| to rounding, which sets this floor."""
     roots = DoubleWell(h).stationary_roots()
     y_minus, y_plus = roots[0][0], roots[-1][0]
-    lo, hi = y_minus, math.sqrt(2.0 * (1.0 - y_plus * y_plus)) - y_plus
-    for _ in range(_CENTER_STAGES):
-        yc = np.linspace(lo, hi, _CENTER_SAMPLES + 2)
-        tau = _pot_time(yc[1:-1], h, y_plus)
-        i = int(np.argmin(tau))
-        lo, hi = yc[i], yc[i + 2]
-    if 0 < i < _CENTER_SAMPLES - 1:
-        t0, t1, t2 = tau[i - 1 : i + 2]
+    width = math.sqrt(2.0 * (1.0 - y_plus * y_plus)) - y_plus - y_minus
+    s = width / (_CENTER_SAMPLES + 1)
+    yc = y_minus + s * np.arange(1, _CENTER_SAMPLES + 1)
+    tau = _pot_time(yc, h, y_plus)
+    best = float(tau.min())
+    i = min(max(int(np.argmin(tau)), 1), _CENTER_SAMPLES - 2)
+    v, tau = yc[i], tau[i - 1 : i + 2]
+    for stage in range(3):
+        t0, t1, t2 = tau
         curv = t0 - 2.0 * t1 + t2
-        if curv > 0.0:
-            return float(t1 - (t2 - t0) ** 2 / (8.0 * curv))
-    return float(tau[i])
+        shift = 0.5 * (t0 - t2) / curv if curv > 0.0 else math.inf
+        if not abs(shift) <= 1.0:
+            return best
+        if stage == 2:
+            return min(best, float(t1 - (t2 - t0) ** 2 / (8.0 * curv)))
+        v, s = v + s * shift, s * s / width
+        tau = _pot_time(np.array([v - s, v, v + s]), h, y_plus)
+        best = min(best, float(tau.min()))
 
 
 def critical_curve(
@@ -197,7 +215,9 @@ def critical_curve(
     Schaaf, LNM 1458, 1990).  tau grows without bound at both ends of the
     admissible centers, so pots exist iff sqrt(d) min tau <= x_max, which
     holds for h below h_crit.  h_crit is the root of sqrt(d) min tau(h) /
-    x_max - 1, found by `brent_root` in log(-h); no relaxation runs.  Every
+    x_max - 1, found by `brent_root` in log(-h); no relaxation runs.  Each
+    probe minimizes tau by `_min_pot_time`: 16 sampled centers and two
+    parabolic refinements of 3, 22 centers in 3 time-map calls.  Every
     d must be positive and finite (ValueError, raised before any time-map
     work).
 
@@ -212,7 +232,11 @@ def critical_curve(
     couplings continue.
     tol: absolute tolerance on h_crit, positive and finite.  The root in
     log(-h) is found to tol / max|h_bracket|, so a fold much smaller than
-    the bracket is also found to a relative accuracy of about that.
+    the bracket is also found to a relative accuracy of about that.  Near
+    h = 0 rounding sets a floor whatever tol: min tau is within about
+    2e-17 / |h| relative (`_min_pot_time`), and d log(min tau) / d log(-h)
+    is only about -0.07 at h = -1e-5, so h_crit there is within about
+    3e-11 relative.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")

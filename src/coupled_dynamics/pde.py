@@ -218,10 +218,15 @@ def integrate(
     an early exit, once it is below DEFAULT_STEADY_TOL; DivergenceError once
     it is not finite.  The last step is clipped, so a run that is not steady
     ends at t_end exactly.  A t_end that is not finite and >= 0 (negative,
-    infinite or NaN), and a coupling that `stable_dt` rejects, raise
-    ValueError before any step; t_end = 0 takes no step.
+    infinite or NaN), a snapshot_every that is not an integer >= 1, and a
+    coupling that `stable_dt` rejects, raise ValueError before any step;
+    t_end = 0 takes no step.  A record is taken at t = 0, after every
+    snapshot_every-th step and at the end, once if the end falls on such a
+    step.
     """
     check_time("t_end", t_end)
+    if not (isinstance(snapshot_every, numbers.Integral) and snapshot_every >= 1):
+        raise ValueError(f"snapshot_every must be an integer >= 1, got {snapshot_every!r}")
     grid = profile0.grid
     dt = stable_dt(grid, spec, coupling)
     work = profile0.copy()
@@ -255,7 +260,8 @@ def integrate(
         if (step + 1) % snapshot_every == 0:
             record(t)
 
-    record(t)
+    if step % snapshot_every:  # step 0 and each snapshot_every-th are recorded
+        record(t)
     return TrajectoryRecord(
         snapshots=snapshots,
         energies=energies,

@@ -240,6 +240,56 @@ class TestCriticalCurve:
         assert all(c.classification == POT_SHAPED for c in cells)
 
 
+def _reference_min_pot_time(h):
+    """Test-side reference for `_min_pot_time`: 9 stages of 32 centers, each
+    zooming on the two cells around the least sample, and the least sample
+    of the last stage."""
+    y_minus, _, y_plus = np.sort(np.roots([1.0, 0.0, -1.0, -h]).real)
+    lo, hi = y_minus, np.sqrt(2.0 * (1.0 - y_plus**2)) - y_plus  # U(hi) = U(y_plus)
+    for _ in range(9):
+        yc = np.linspace(lo, hi, 34)
+        tau = bifurcation._pot_time(yc[1:-1], h, y_plus)
+        i = int(np.argmin(tau))
+        lo, hi = yc[i], yc[i + 2]
+    return float(tau.min())
+
+
+def _count_pot_time(monkeypatch, pot_time=bifurcation._pot_time):
+    """Route `_pot_time` through `pot_time`, recording each call's centers."""
+    calls = []
+
+    def counted(centers, h, y_plus):
+        calls.append(np.array(centers))
+        return pot_time(centers, h, y_plus)
+
+    monkeypatch.setattr(bifurcation, "_pot_time", counted)
+    return calls
+
+
+class TestMinPotTime:
+    @pytest.mark.parametrize("h, rel", [
+        (-0.38, 1e-12), (-0.1, 1e-12), (-0.0242, 1e-12), (-1e-3, 1e-12),
+        (-1e-5, 1e-10), (-1e-7, 1e-8),
+    ])
+    def test_matches_reference_within_budget(self, monkeypatch, h, rel):
+        # a search that misses the minimum is off by 1e-3 or more; near
+        # h = 0 rounding of U(y_plus) - U(y_c), about 2|h|, sets the bound
+        reference = _reference_min_pot_time(h)
+        calls = _count_pot_time(monkeypatch)
+        value = bifurcation._min_pot_time(h)
+        assert abs(value / reference - 1.0) < rel
+        assert len(calls) <= 3
+        assert sum(len(c) for c in calls) <= 22
+
+    def test_non_convex_triple_returns_least_sample(self, monkeypatch):
+        # samples linear in y_c: the first triple is not convex, so the
+        # search stops after one stage with its least sample
+        calls = _count_pot_time(monkeypatch, lambda centers, h, y_plus: 2.0 + centers)
+        value = bifurcation._min_pot_time(-0.1)
+        assert len(calls) == 1
+        assert value == 2.0 + calls[0].min()
+
+
 def _numerov_march_end(yc, h, d, dx, steps):
     """y at x = steps * dx of the Numerov march of d y'' = U'(y) for
     DoubleWell(h) from y(0) = yc, y'(0) = 0, for an array of centers; each

@@ -285,6 +285,23 @@ class TestSimulate:
         assert code == 1
         assert "t_end" in err
 
+    @pytest.mark.parametrize("snapshots", ["0", "-1"])
+    def test_snapshot_cadence_below_1_exits_1(self, capsys, snapshots):
+        # 0 would divide by zero in the step loop, and -1 record every step
+        code, out, err = run(capsys, "simulate", "--n", "11", "--snapshots", snapshots)
+        assert (code, out) == (1, "")
+        assert err == f"error: snapshot_every must be an integer >= 1, got {snapshots}\n"
+
+    def test_energy_csv_ends_once(self, capsys, tmp_path):
+        # dt = 0.064: t = 6.4 is exactly 100 steps, the default cadence
+        code, _, _ = run(
+            capsys, "simulate", "--h=-0.01", "--n", "51", "--t-end", "6.4",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        rows = (tmp_path / "energy.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["t", "0", "6.4000000000000004"]
+
 
 class TestTheorem1:
     def test_passes(self, capsys, tmp_path):

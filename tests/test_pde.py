@@ -279,6 +279,35 @@ class TestIntegrate:
             with pytest.raises(ValueError, match=rf"t_end must be finite and >= 0, got {t_end}"):
                 integrate(prof, DoubleWell(0.01), ConstantCoupling(0.01), t_end=t_end)
 
+    @pytest.mark.parametrize("snapshot_every", [0, -1, 2.5, 100.0])
+    def test_snapshot_cadence_not_positive_integer_rejected(self, monkeypatch, snapshot_every):
+        # 0 would divide by zero in the step loop, and -1 record every step
+        def no_step(*args):
+            raise AssertionError("stepped with a bad snapshot cadence")
+
+        monkeypatch.setattr(pde, "_interior_rhs", no_step)
+        prof = Profile.uniform(Grid(1.0, 21), -1.0, boundary_value=1.0)
+        with pytest.raises(ValueError, match="snapshot_every must be an integer >= 1"):
+            integrate(prof, DoubleWell(0.01), ConstantCoupling(0.01), snapshot_every=snapshot_every)
+
+    def test_numpy_integer_snapshot_cadence_accepted(self):
+        # dt = 0.4 on Grid(1, 21): three steps, the last clipped to t = 1
+        prof = Profile.uniform(Grid(1.0, 21), -1.0, boundary_value=1.0)
+        rec = integrate(prof, DoubleWell(0.01), ConstantCoupling(0.01), t_end=1.0,
+                        snapshot_every=np.int64(1))
+        assert [t for t, _ in rec.energies] == pytest.approx([0.0, 0.4, 0.8, 1.0])
+
+    @pytest.mark.parametrize("t_end, times", [(0.0, [0.0]), (6.4, [0.0, 6.4])])
+    def test_end_recorded_once(self, t_end, times):
+        # dt = 0.064 on Grid(1, 51): t_end = 6.4 is exactly 100 steps, so the
+        # end falls on the 100-step cadence; t_end = 0 ends where it starts
+        pts = find_stationary_points(DoubleWell(-0.01))
+        prof = Profile.uniform(Grid(1.0, 51), pts.y_minus, boundary_value=pts.y_plus)
+        rec = integrate(prof, DoubleWell(-0.01), ConstantCoupling(0.01), t_end=t_end,
+                        snapshot_every=100)
+        assert [t for t, _ in rec.energies] == times
+        assert [t for t, _ in rec.snapshots] == times
+
     def test_divergence_detected(self):
         spec = DoubleWell(0.0, domain=(-1e8, 1e8))
         g = Grid(1.0, 11)
