@@ -81,8 +81,11 @@ def sweep(
     stacks = [cells[n * i // workers : n * (i + 1) // workers] for i in range(workers)]
     args = (stacks, repeat(grid), repeat(t_cap))
     if workers > 1:
-        # imported here: multiprocessing is costly to load and only a pool needs it
+        # imported here: multiprocessing is costly to load and only a pool needs it;
+        # scipy.linalg before the pool, so forked workers inherit it, not import it each
         from concurrent.futures import ProcessPoolExecutor
+
+        from . import _lapack  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = chain.from_iterable(list(pool.map(_solve_cells, *args)))

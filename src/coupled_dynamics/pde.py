@@ -10,8 +10,11 @@ size follows the local error through the transient, then finishes the linear
 tail by Newton on the same 3-point system, which is that step at tau =
 infinity; the time it reports is the model time of its last accepted step
 plus the tail's extrapolated decay time ln(max|r| / DEFAULT_STEADY_TOL) /
-lambda_1 (lambda_1 the slowest decay rate), at most t_end.  Every solver
-here calls a state steady once the max-norm of its residual is below
+lambda_1 (lambda_1 the slowest decay rate), at most t_end.  Its starts must
+equal their mirror images about x = 0, so the flow is even: it solves the
+mirror half of each row, the centre node out to the pinned end, behind a
+ghost node that mirrors the centre's right neighbour.  Every solver here
+calls a state steady once the max-norm of its residual is below
 DEFAULT_STEADY_TOL.
 """
 from __future__ import annotations
@@ -332,9 +335,18 @@ def _relax(
     the step accepted right after a rejection (Hairer, Norsett & Wanner,
     Solving ODEs I, II.4), but never drops below tau0 = 1/(1 + L/2), L =
     max|U''|, and a step of at most tau0 is always accepted, so a non-finite
-    state there raises DivergenceError.
+    state there raises DivergenceError, which names the full-grid node.
     The clock advances by the accepted tau and the last step is clipped, so
     t_end is model time and a capped run returns t == t_end.
+
+    Every profile must equal its mirror image about x = 0 (NaNs included),
+    else ValueError: then r, J and every step are even, and a row is solved
+    as its mirror half, the centre node c out to the pinned end, with a
+    ghost node at c - 1 reset to y[c + 1] after every step, tail restore and
+    partial copy, so `_interior_rhs` stays the one stencil.  The centre's
+    two neighbours are then one unknown: the half block of I - tau J takes
+    -2 tau k (k = d/dx^2) on the superdiagonal at the centre, -tau k on the
+    subdiagonal.  Each result is its half mirrored onto the full grid.
 
     Once max|r| < NEWTON_TAIL_TOL a row tries to finish its linear tail by
     Newton: the same step at tau = infinity, (-J) delta = r, at most three
@@ -342,18 +354,21 @@ def _relax(
     SIAM J. Numer. Anal. 35, 1998).  A tail that brings max|r| below
     DEFAULT_STEADY_TOL by a correction of one sign (to 1e-12), as the
     Perron-mode tail of a monotone flow is, at a stable fixed point
-    (lambda_1, the smallest eigenvalue of -J there by LAPACK dstebz, > 0)
-    ends the run at the model time t + ln(max|r| / DEFAULT_STEADY_TOL) /
-    lambda_1, max|r| taken at the tail's start, or at t_end if that comes
-    first.  Any other tail, one that meets a zero pivot included, restores
-    the row's state, which steps on and tries again once max|r| has fallen
-    tenfold.  A run stops once max|r| < DEFAULT_STEADY_TOL.  Its fixed
-    points are exactly those of the 3-point stencil.
+    (lambda_1, the smallest eigenvalue of -J there, > 0) ends the run at
+    the model time t + ln(max|r| / DEFAULT_STEADY_TOL) / lambda_1, max|r|
+    taken at the tail's start, or at t_end if that comes first.  lambda_1
+    is taken by LAPACK dstebz from the half block with its centre
+    off-diagonal -sqrt(2) k: that symmetric block is similar to the even
+    block of -J, which holds its smallest eigenvalue, as the ground mode is
+    positive.  Any other tail, one that meets a zero pivot included,
+    restores the row's state, which steps on and tries again once max|r|
+    has fallen tenfold.  A run stops once max|r| < DEFAULT_STEADY_TOL.  Its
+    fixed points are exactly those of the 3-point stencil.
 
-    The rows lie end to end in one array, so each step makes one stencil
-    call, one U' and one U'' call on one potential for the whole stack
-    (`_stack_potential`: the rows' own object when they share it, else
-    their family with per-node parameters) and one dgtsv call, tails
+    The half rows lie end to end in one array, so each step makes one
+    stencil call, one U' and one U'' call on one potential for the whole
+    stack (`_stack_potential`: the rows' own object when they share it,
+    else their family with per-node parameters) and one dgtsv call, tails
     included, whose off-diagonals are zero at the seams: no pivot crosses a
     seam; after a zero pivot or an overflow the rows are solved again alone
     and the singular row's trial counts as non-finite.  Each row keeps its
@@ -366,9 +381,17 @@ def _relax(
     """
     from . import _lapack
 
-    dx, n = profiles[0].grid.dx, profiles[0].grid.n_points
+    for p in profiles:
+        if not np.array_equal(p.values, p.values[::-1], equal_nan=True):
+            raise ValueError("_relax needs profiles that equal their mirror images about x = 0")
+    dx, c = profiles[0].grid.dx, profiles[0].grid.n_points // 2
+    n = c + 2  # a half row: the ghost node c - 1, the centre c, ..., the pinned end 2c
+
+    def full(half):  # a half row's interior values mirrored onto the full grid's
+        return np.concatenate((half[:0:-1], half))
+
     tau0s = [1.0 / (1.0 + 0.5 * lip) for lip in _per_object(_reaction_lipschitz, specs)]
-    y = np.concatenate([p.values for p in profiles])
+    y = np.concatenate([p.values[c - 1 :] for p in profiles])
     rows = list(range(len(profiles)))  # the index in profiles of each row
     # a row has nothing to decide while gate <= max|r| < inf: gate NEWTON_TAIL_TOL, after
     # a failed tail 0.1 max|r| at its start (>= DEFAULT_STEADY_TOL), inf in a tail and at t_end
@@ -395,8 +418,11 @@ def _relax(
             spec = _stack_potential([specs[i] for i in rows], spread)
             gradient, curvature = spec.gradient_unchecked, spec.curvature_unchecked
             two_k = 2.0 * k
-            # the off-diagonal -k, zero where it would couple a row to a seam
+            # the off-diagonal -k, zero where it would couple a row to a seam,
+            # and the superdiagonal, -2k at each row's centre
             neg_k = np.where(row_of == np.append(row_of[1:], stack), -k, 0.0)
+            up_k = neg_k.copy()
+            up_k[::n] *= 2.0
             # reduceat segments: each row's interior nodes, then a seam
             starts = np.array([i * n + s for i in range(stack) for s in (0, n - 2)][:-1])
             trial = y.copy()
@@ -411,7 +437,7 @@ def _relax(
             tail = tails.get(rows[i])
             if tail is None:
                 if not math.isfinite(residual):
-                    raise DivergenceError(t, r[row])
+                    raise DivergenceError(t, full(r[row]))
                 if residual >= DEFAULT_STEADY_TOL and t < t_end:  # try the tail
                     tails[rows[i]] = [inner[row].copy(), r[row].copy(), diag[row].copy(), residual, 0]
                     gates[i] = math.inf
@@ -425,19 +451,20 @@ def _relax(
                 if residual < DEFAULT_STEADY_TOL and min(move.max(), -move.min()) <= 1e-12:
                     # the smallest eigenvalue by bisection, as scipy's
                     # eigvalsh_tridiagonal calls it for select="i", select_range=(0, 0)
-                    _, w, _, _, info = _lapack.dstebz(
-                        diag[row], neg_k[row][:-1], 2, 0.0, 1.0, 1, 1, 0.0, "E"
-                    )
+                    sym = neg_k[row][:-1].copy()
+                    sym[0] *= math.sqrt(2.0)
+                    _, w, _, _, info = _lapack.dstebz(diag[row], sym, 2, 0.0, 1.0, 1, 1, 0.0, "E")
                     if info != 0:
                         raise np.linalg.LinAlgError(f"dstebz failed with info = {info}")
                     lam1 = float(w[0])
                 if not lam1 > 0.0:  # a failed tail: the row steps on from its start
                     inner[row], r[row], diag[row] = nodes, r_start, diag_start
+                    y[i * n] = y[i * n + 2]
                     gates[i] = max(0.1 * res_start, DEFAULT_STEADY_TOL)
                     continue
                 t = min(t + math.log(res_start / DEFAULT_STEADY_TOL) / lam1, t_end)
             final = profiles[rows[i]].copy()
-            final.values[1:-1] = inner[row]
+            final.values[1:-1] = full(inner[row])
             out[rows[i]] = final, residual, t
             done.append(i)
         if done:
@@ -453,14 +480,15 @@ def _relax(
         in_tail = [i for i, p in enumerate(rows) if p in tails] if tails else []
         cols = [1.0 if p in tails else s for p, s in zip(rows, steps)] if in_tail else steps
         col = spread(cols)
-        off = (col * neg_k)[:-1]
         shifted = col * diag
         shifted += 1.0
         for i in in_tail:
             shifted[i * n : i * n + n - 2] = diag[i * n : i * n + n - 2]
             tails[rows[i]][4] += 1
-        # dgtsv copies off as its subdiagonal and overwrites the rest in place.
-        delta, info = _lapack.dgtsv(off, shifted, off, col * r, False, True, True, True)[3:]
+        # dgtsv overwrites its four fresh arrays in place
+        delta, info = _lapack.dgtsv(
+            (col * neg_k)[:-1], shifted, (col * up_k)[:-1], col * r, True, True, True, True
+        )[3:]
         size = np.maximum.reduceat(np.abs(delta), starts).tolist()[::2]
         if info or not math.isfinite(sum(size)):
             # dgtsv stops at a zero pivot before it back-substitutes any row,
@@ -469,12 +497,14 @@ def _relax(
             delta = np.zeros_like(r)
             for i, step in enumerate(cols):
                 row = slice(i * n, i * n + n - 2)
-                off = step * neg_k[row][:-1]
                 block = step * diag[row] + (0.0 if i in in_tail else 1.0)
-                x, info_i = _lapack.dgtsv(off, block, off, step * r[row])[3:]
+                x, info_i = _lapack.dgtsv(
+                    step * neg_k[row][:-1], block, step * up_k[row][:-1], step * r[row]
+                )[3:]
                 delta[row] = x if info_i == 0 and i != (info - 1) // n else np.nan
             size = np.maximum.reduceat(np.abs(delta), starts).tolist()[::2]
         np.add(inner, delta, out=trial_inner)
+        trial[::n] = trial[2::n]
         r_trial = _interior_rhs(trial, dx, gradient, coef)
         change = np.maximum.reduceat(np.abs(r_trial - r), starts).tolist()[::2]
         accepted = []
@@ -506,6 +536,7 @@ def _relax(
             where = np.array(accepted + [False])[row_of]
             np.copyto(inner, trial_inner, where=where)
             np.copyto(r, r_trial, where=where)
+            y[::n] = y[2::n]
         if n_accepted:
             diag = two_k + curvature(inner)
 

@@ -131,6 +131,32 @@ class TestSweep:
         ]
         assert got == sweep(d_values, h_values, grid=GRID, t_cap=2e3)
 
+    # the near-fold scan: (PotShaped, Uniform, Unresolved) cells per (d, t_cap)
+    NEAR_FOLD = {
+        (0.01, 300.0): (0, 0, 26), (0.01, 3e3): (3, 0, 23), (0.01, 1e4): (9, 0, 17),
+        (0.05, 300.0): (10, 1, 27), (0.05, 3e3): (12, 26, 0), (0.05, 1e4): (12, 26, 0),
+        (0.1, 300.0): (12, 8, 18), (0.1, 3e3): (20, 12, 6), (0.1, 1e4): (20, 12, 6),
+    }
+
+    def test_near_fold_scan(self):
+        # the 306 negative tilts within 3e-4 (25 tilts) and 3e-6 (13) of the
+        # time map's fold h_f, relaxed on 101 nodes to three t_caps, label as
+        # pinned; d = 0.003 adds no cell, as its fold lies above the bracket
+        # end -1e-5, where critical_curve reports no fold
+        bracket = (-0.3, -1e-5)
+        assert np.isnan(critical_curve([0.003], h_bracket=bracket, tol=1e-9)[0].h_crit)
+        offsets = np.concatenate([np.linspace(-3e-4, 3e-4, 25), np.linspace(-3e-6, 3e-6, 13)])
+        labels = (POT_SHAPED, UNIFORM, bifurcation.UNRESOLVED)
+        counts = {}
+        for d in (0.01, 0.05, 0.1):
+            hs = critical_curve([d], h_bracket=bracket, tol=1e-9)[0].h_crit + offsets
+            for t_cap in (300.0, 3e3, 1e4):
+                cells = sweep([d], hs[hs < 0], grid=GRID, t_cap=t_cap)
+                got = [cell.classification for cell in cells]
+                counts[d, t_cap] = tuple(got.count(label) for label in labels)
+        assert counts == self.NEAR_FOLD
+        assert sum(map(sum, counts.values())) == 306
+
     def test_default_box(self):
         d_values, h_values = default_sweep_box()
         assert len(d_values) == 13 and len(h_values) == 21

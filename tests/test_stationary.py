@@ -33,6 +33,12 @@ from coupled_dynamics.stationary import (
 )
 
 
+def mirror_even(v):
+    """v made equal to its mirror image bit for bit, as `pde._relax` needs:
+    `Grid.x` is mirror-exact only where n_points - 1 is a power of two."""
+    return 0.5 * (v + v[::-1])
+
+
 @pytest.fixture(scope="module")
 def fig2_pot():
     spec = DoubleWell(-0.01)
@@ -240,22 +246,40 @@ class TestRelaxation:
                 assert np.linalg.eigvalsh(minus_jac)[0] > 0.0, (d, h)
         assert steady == 33
 
+    def test_start_that_is_not_its_mirror_image_refused(self, monkeypatch):
+        # _relax solves the mirror half of each row: a start off its mirror
+        # image by one bit, alone or in a stack, is refused before any step
+        grid = Grid(1.0, 11)
+        spec = DoubleWell(0.0)
+        even = Profile(grid, 1.0 + 1e-3 * mirror_even(np.cos(0.5 * np.pi * grid.x)), 1.0)
+        odd = even.copy()
+        odd.values[3] = np.nextafter(odd.values[3], 2.0)
+
+        def no_step(*args):
+            raise AssertionError("stepped from a start that is not its mirror image")
+
+        monkeypatch.setattr(pde, "_interior_rhs", no_step)
+        for stack in ([odd], [even, odd]):
+            with pytest.raises(ValueError, match="mirror image"):
+                pde._relax(stack, [spec] * len(stack), [0.01] * len(stack), 1e4)
+
     def test_unstable_fixed_point_is_not_accepted(self):
         # a small bump on the unstable state y_u = 0 (pinned there) is within
         # Newton's reach of it; the flow instead leaves it for the stable
         # plateau near 1
         grid = Grid(1.0, 101)
-        start = Profile(grid, 1e-6 * np.cos(0.5 * np.pi * grid.x), boundary_value=0.0)
+        start = Profile(grid, 1e-6 * mirror_even(np.cos(0.5 * np.pi * grid.x)), boundary_value=0.0)
         final, residual, t = pde._relax([start], [DoubleWell(0.0)], [0.01], 1e4)[0]
         assert residual < DEFAULT_STEADY_TOL
         assert np.max(final.values) > 0.99
         assert t > 10.0
 
     def test_newton_finish_needs_one_signed_correction(self, monkeypatch):
-        # about the stable uniform state y = 1 (h = 0), a one-signed offset is
-        # finished by Newton and a sign-changing one is refused: the run's
-        # first solve is its tail's (off-diagonal -k, tau = infinity), and a
-        # finished tail ends the run before any relaxation step (-tau k)
+        # about the stable uniform state y = 1 (h = 0), a one-signed even
+        # offset is finished by Newton and a sign-changing even one is
+        # refused: the run's first solve is its tail's (off-diagonal -k, tau
+        # = infinity), and a finished tail ends the run before any
+        # relaxation step (-tau k)
         grid = Grid(1.0, 101)
         spec = DoubleWell(0.0)
         d = 0.01
@@ -267,10 +291,10 @@ class TestRelaxation:
             return dgtsv(*args)
 
         monkeypatch.setattr(_lapack, "dgtsv", recorded)
-        offsets = [(-np.cos(0.5 * np.pi * grid.x), True), (np.sin(np.pi * grid.x), False)]
+        offsets = [(-np.cos(0.5 * np.pi * grid.x), True), (np.cos(1.5 * np.pi * grid.x), False)]
         for offset, accepted in offsets:
             offs.clear()
-            start = Profile(grid, 1.0 + 1e-6 * offset, boundary_value=1.0)
+            start = Profile(grid, 1.0 + 1e-6 * mirror_even(offset), boundary_value=1.0)
             _, residual, _ = pde._relax([start], [spec], [d], 1e4)[0]
             assert residual < DEFAULT_STEADY_TOL and offs[0] == -k
             assert (set(offs) == {-k}) == accepted
@@ -317,12 +341,13 @@ class TestRelaxation:
         assert sol.t_exit != want.t_exit
 
     def test_failed_tail_near_the_tolerance_ends_at_it(self):
-        # a sign-changing 1e-9 offset about y = 1 (h = 0): the tail tried at
-        # max|r| = 2.1e-9 is refused, and the steps that follow end the run
-        # at the first max|r| below DEFAULT_STEADY_TOL (9.0e-10), though it
+        # a sign-changing even 1e-9 offset about y = 1 (h = 0): the tail tried
+        # at max|r| = 2.2e-9 is refused, and the steps that follow end the run
+        # at the first max|r| below DEFAULT_STEADY_TOL (9.2e-10), though it
         # is above a tenth of the refused tail's start
         grid = Grid(1.0, 51)
-        start = Profile(grid, 1.0 + 1e-9 * np.sin(np.pi * grid.x), boundary_value=1.0)
+        offset = 1e-9 * mirror_even(np.cos(1.5 * np.pi * grid.x))
+        start = Profile(grid, 1.0 + offset, boundary_value=1.0)
         _, residual, t = pde._relax([start], [DoubleWell(0.0)], [0.01], 1e4)[0]
         assert 0.5 * DEFAULT_STEADY_TOL < residual < DEFAULT_STEADY_TOL
         assert 0.0 < t < 1.0
@@ -378,6 +403,22 @@ class TestStackedRelaxation:
         # each _solve_cells cell equals its solve_stationary, and the polish
         # of the perturbed ends as a stack equals its stacks of one, by ==
         cells, grid, t_cap = stack
+        # each relaxed row is its own mirror image, and a steady one is
+        # steady on the full grid (U' unchecked, as in _relax: a steady end
+        # may lie a rounding error outside the domain)
+        specs, ds = [spec for spec, _, _ in cells], [d for _, d, _ in cells]
+        relax_starts = []
+        for spec, _, y0 in cells:
+            pts = find_stationary_points(spec)
+            y0 = pts.y_minus if y0 is None else y0
+            relax_starts.append(Profile.uniform(grid, y0, boundary_value=pts.y_plus))
+        relaxed = pde._relax(relax_starts, specs, ds, t_cap)
+        for (final, residual, _), spec, d in zip(relaxed, specs, ds):
+            assert np.array_equal(final.values, final.values[::-1])
+            if residual < DEFAULT_STEADY_TOL:
+                coupling = pde.ConstantCoupling(d)
+                r = pde._interior_rhs(final.values, grid.dx, spec.gradient_unchecked, coupling)
+                assert np.max(np.abs(r)) < DEFAULT_STEADY_TOL
         solved = stationary._solve_cells(cells, grid, t_cap)
         for (spec, d, y0), sol in zip(cells, solved):
             want = solve_stationary(spec, d, grid=grid, y0=y0, t_cap=t_cap)
@@ -387,7 +428,6 @@ class TestStackedRelaxation:
             )
         bump = amplitude * np.cos(0.5 * np.pi * grid.x / grid.x_max)
         starts = [Profile(grid, s.profile.values + bump, s.profile.boundary_value) for s in solved]
-        specs, ds = [spec for spec, _, _ in cells], [d for _, d, _ in cells]
         polished = [p.copy() for p in starts]
         residuals = stationary._newton_polish(polished, specs, ds, DEFAULT_STEADY_TOL)
         for p, residual, start, spec, d in zip(polished, residuals, starts, specs, ds):
@@ -442,18 +482,18 @@ class TestStackedRelaxation:
         # fails, steps on, tries again and ends steady.  Each row equals its
         # solo run, and dstebz runs once per finished tail: rows 2 and 0
         grid, spec, d = Grid(1.0, 51), DoubleWell(0.0), 0.01
-        n, k = grid.n_points, d / grid.dx**2
-        shapes = [np.cos(0.5 * np.pi * grid.x), np.sin(np.pi * grid.x), np.cos(0.5 * np.pi * grid.x)]
+        half, k = (grid.n_points + 3) // 2, d / grid.dx**2  # a half row's length, with its ghost
+        shapes = [np.cos(a * np.pi * grid.x) for a in (0.5, 1.5, 0.5)]
         starts = [
-            Profile(grid, 1.0 + a * shape, boundary_value=1.0)
+            Profile(grid, 1.0 + a * mirror_even(shape), boundary_value=1.0)
             for a, shape in zip([1e-3, 1e-3, 1e-7], shapes)
         ]
         alone = [pde._relax([p], [spec], [d], 1e4)[0] for p in starts]
         dgtsv, dstebz, solves, rates = _lapack.dgtsv, _lapack.dstebz, [], []
 
         def recorded(*args):  # each row's block: T in a tail (off-diagonal -k), s stepping
-            rows = (len(args[0]) + 3) // n
-            solves.append("".join("T" if args[0][i * n] == -k else "s" for i in range(rows)))
+            rows = (len(args[0]) + 3) // half
+            solves.append("".join("T" if args[0][i * half] == -k else "s" for i in range(rows)))
             return dgtsv(*args)
 
         def counted(*args):
